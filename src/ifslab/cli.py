@@ -66,35 +66,20 @@ def _cmd_omega(args):
     return EXIT_OK
 
 
-def _driver_spec_from_args(args):
-    kind = args.kind
-    if kind == "cyclic":
-        if args.perm:
-            return drivers.Cyclic(tuple(int(s) for s in args.perm.split(",")))
-        if not args.alphabet:
-            raise IfsLabError("cyclic driver needs --perm or --alphabet")
-        return drivers.Cyclic(tuple(range(1, args.alphabet + 1)))
-    if kind == "iid":
-        if args.seed is None:
-            raise IfsLabError("iid driver needs --seed")
-        if args.weights:
-            return drivers.IidRandom(args.seed, tuple(float(w) for w in args.weights.split(",")))
-        if not args.alphabet:
-            raise IfsLabError("iid driver needs --weights or --alphabet")
-        return drivers.IidRandom.uniform(args.seed, args.alphabet)
-    if kind == "disjunctive":
-        if not args.alphabet:
-            raise IfsLabError("disjunctive driver needs --alphabet")
-        return drivers.DisjunctiveEnumeration(args.alphabet)
-    if kind == "custom":
-        if not args.symbols:
-            raise IfsLabError("custom driver needs --symbols")
-        return drivers.Custom(tuple(int(s) for s in args.symbols.split(",")))
-    raise IfsLabError(f"unknown driver kind {kind!r}")
+def _driver_from_args(args, n_symbols):
+    """The driver the options name, built by the same code as config drivers."""
+    def listed(text, parse):
+        return [parse(s) for s in text.split(",")] if text else None
+
+    d = {"kind": args.kind, "seed": args.seed, "alphabet": args.alphabet or None,
+         "permutation": listed(args.perm, int), "weights": listed(args.weights, float),
+         "symbols": listed(args.symbols, int)}
+    return scenarios.driver_from_dict({k: v for k, v in d.items() if v is not None},
+                                      n_symbols, "driver")
 
 
 def _cmd_driver_gen(args):
-    spec = _driver_spec_from_args(args)
+    spec = _driver_from_args(args, None)
     symbols = drivers.generate(spec, args.n)
     print(" ".join(str(int(s)) for s in symbols))
     if args.out:
@@ -134,8 +119,7 @@ def _cmd_driver_audit(args):
 
 def _cmd_kaczmarz(args):
     system = fileio.read_linear_system_csv(args.system)
-    args.alphabet = args.alphabet or system.n_rows
-    spec = _driver_spec_from_args(args)
+    spec = _driver_from_args(args, system.n_rows)
     x0 = None
     if args.x0:
         x0 = np.asarray([float(c) for c in args.x0.split(",")], dtype=float)

@@ -79,9 +79,5 @@ class PointCloud:
             raise DimensionMismatchError(self.dim, q.shape[1], "query points")
         return cdist(q, self.points).min(axis=1)
 
-    def sample_points(self):
-        """Finite stand-in used by checks that need concrete points of the set."""
-        return self.points
-
     def to_list(self):
         return [[float(c) for c in p] for p in self.points]

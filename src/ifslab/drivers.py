@@ -195,6 +195,48 @@ class _CustomStream(SymbolStream):
         return out
 
 
+class _IterableStream(SymbolStream):
+    """A stream over any finite or infinite integer iterable."""
+
+    def __init__(self, symbols):
+        super().__init__(symbols)
+        self._iter = iter(symbols)
+
+    def take_upto(self, n):
+        out = np.fromiter(itertools.islice(self._iter, n), dtype=np.int64)
+        self.position += len(out)
+        return out
+
+
+def symbol_blocks(driver, n, n_symbols, size=None):
+    """Yield the first ``n`` symbols of a driver as int64 blocks of at most
+    ``size`` symbols (default: one block), each checked to lie in
+    ``1..n_symbols``.
+
+    The driver is a spec (read from a fresh stream), a :class:`SymbolStream`
+    (read from where it stands), or any finite or infinite integer iterable,
+    numpy arrays included. Nothing is read before the first block. A driver
+    that ends early raises :class:`DriverExhaustedError` after its last,
+    short block.
+    """
+    if isinstance(driver, DriverSpec):
+        stream = driver.stream()
+    elif isinstance(driver, SymbolStream):
+        stream = driver
+    else:
+        stream = _IterableStream(driver)
+    size = size or max(n, 1)
+    for start in range(0, n, size):
+        want = min(size, n - start)
+        block = stream.take_upto(want)
+        if len(block) and (block.min() < 1 or block.max() > n_symbols):
+            raise SymbolRangeError(int(block[(block < 1) | (block > n_symbols)][0]), n_symbols)
+        yield block
+        if len(block) < want:
+            raise DriverExhaustedError(f"driver exhausted after {start + len(block)} "
+                                       f"of {n} requested symbols")
+
+
 def generate(spec, n):
     """The first ``n`` symbols of the driver as an int64 array."""
     if n < 0:

@@ -72,10 +72,16 @@ class Hyperplane:
             raise GeometryValidationError("hyperplane normal is numerically zero")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "_aa", n @ n)
 
     @property
     def dim(self):
         return self.normal.shape[0]
+
+    def project(self, p):
+        """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
+        ``p - ((a.p - b)/|a|^2) a``."""
+        return _move_along(p, self.normal, (p @ self.normal - self.offset) / self._aa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,6 +112,13 @@ class AffineSubspace:
     @property
     def dim(self):
         return self.anchor.shape[0]
+
+    def project(self, p):
+        """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
+        ``anchor + ((p - anchor) B^T) B`` for basis rows ``B``."""
+        if self.basis.shape[0] == 0:
+            return np.broadcast_to(self.anchor, p.shape).copy()
+        return self.anchor + ((p - self.anchor) @ self.basis.T) @ self.basis
 
     @classmethod
     def single_point(cls, point):
@@ -155,10 +168,17 @@ class Halfspace:
             raise GeometryValidationError("halfspace normal is numerically zero")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "_aa", n @ n)
 
     @property
     def dim(self):
         return self.normal.shape[0]
+
+    def project(self, p):
+        """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
+        the hyperplane step, taken only where ``a.p > b``."""
+        t = np.maximum((p @ self.normal - self.offset) / self._aa, 0.0)
+        return _move_along(p, self.normal, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,6 +198,17 @@ class Ball:
     def dim(self):
         return self.center.shape[0]
 
+    def project(self, p):
+        """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
+        points outside are scaled radially onto the sphere."""
+        rel = p - self.center
+        dist = np.linalg.norm(rel, axis=-1)
+        scale = np.ones_like(dist)
+        np.divide(self.radius, dist, out=scale, where=dist > self.radius)
+        if p.ndim == 1:
+            return self.center + float(scale) * rel
+        return self.center + scale[:, None] * rel
+
 
 @dataclass(frozen=True, eq=False)
 class Box:
@@ -196,55 +227,39 @@ class Box:
     def dim(self):
         return self.lower.shape[0]
 
+    def project(self, p):
+        """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
+        coordinatewise clipping."""
+        return np.clip(p, self.lower, self.upper)
+
 
 #: Convex bodies accepted by :func:`project_convex`.
 ConvexBody = (Halfspace, Ball, Box)
 
 
+def _move_along(p, normal, t):
+    """``p - t * normal`` for one point and scalar ``t``, or row-wise for a
+    stack of points and one ``t`` per row."""
+    if p.ndim == 1:
+        return p - t * normal
+    return p - t[:, None] * normal
+
+
 def project_hyperplane(x, plane):
     """Orthogonal projection onto a hyperplane: ``x - ((a.x - b)/|a|^2) a``."""
-    p = _as_points(x, plane.dim)
-    a = plane.normal
-    t = (p @ a - plane.offset) / (a @ a)
-    if p.ndim == 1:
-        return p - t * a
-    return p - t[:, None] * a
+    return plane.project(_as_points(x, plane.dim))
 
 
 def project_affine_subspace(x, subspace):
     """Orthogonal projection onto an affine subspace given by point + orthonormal basis."""
-    p = _as_points(x, subspace.dim)
-    basis = subspace.basis
-    if basis.shape[0] == 0:
-        if p.ndim == 1:
-            return subspace.anchor.copy()
-        return np.broadcast_to(subspace.anchor, p.shape).copy()
-    rel = p - subspace.anchor
-    return subspace.anchor + (rel @ basis.T) @ basis
+    return subspace.project(_as_points(x, subspace.dim))
 
 
 def project_convex(x, body):
     """Metric projection onto a halfspace, ball, or box."""
-    p = _as_points(x, body.dim)
-    if isinstance(body, Halfspace):
-        a = body.normal
-        t = (p @ a - body.offset) / (a @ a)
-        t = np.maximum(t, 0.0)
-        if p.ndim == 1:
-            return p - t * a
-        return p - t[:, None] * a
-    if isinstance(body, Ball):
-        rel = p - body.center
-        dist = np.linalg.norm(rel, axis=-1)
-        scale = np.ones_like(dist)
-        outside = dist > body.radius
-        np.divide(body.radius, dist, out=scale, where=outside)
-        if p.ndim == 1:
-            return body.center + float(scale) * rel
-        return body.center + scale[:, None] * rel
-    if isinstance(body, Box):
-        return np.clip(p, body.lower, body.upper)
-    raise GeometryValidationError(f"not a convex body: {type(body).__name__}")
+    if not isinstance(body, ConvexBody):
+        raise GeometryValidationError(f"not a convex body: {type(body).__name__}")
+    return body.project(_as_points(x, body.dim))
 
 
 def orthonormalize(vectors):

@@ -8,17 +8,15 @@ Symbols are 1-based: the driver value ``i`` selects ``maps[i - 1]``. A word
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import drivers, geometry
 from .clouds import PointCloud
 from .errors import (
     DegenerateTreeError,
     DimensionMismatchError,
-    DriverExhaustedError,
     EmptyCloudError,
     GeometryValidationError,
     SymbolRangeError,
@@ -32,33 +30,9 @@ NONEXPANSIVE_SLACK = 1e-9
 DEGENERATE_PAIR_TOL = 1e-12
 
 
-def spectral_norm(matrix, tol=1e-12, max_iter=10000):
-    """Largest singular value by power iteration on ``M^T M``.
-
-    Deterministic: two fixed start vectors are tried and the larger Rayleigh
-    estimate wins, which guards against a start orthogonal to the top singular
-    space. The estimate never exceeds the true norm.
-    """
-    m = np.asarray(matrix, dtype=float)
-    gram = m.T @ m
-    d = gram.shape[0]
-    best = 0.0
-    for start in (np.ones(d), 1.0 + np.arange(d, dtype=float)):
-        v = start / np.linalg.norm(start)
-        prev = np.inf
-        for _ in range(max_iter):
-            w = gram @ v
-            est = float(v @ w)
-            nw = float(np.linalg.norm(w))
-            if nw == 0.0:
-                est = 0.0
-                break
-            v = w / nw
-            if abs(est - prev) <= tol * max(1.0, abs(est)):
-                break
-            prev = est
-        best = max(best, est)
-    return float(np.sqrt(max(best, 0.0)))
+def spectral_norm(matrix):
+    """Largest singular value: the operator 2-norm, by SVD."""
+    return float(np.linalg.norm(np.asarray(matrix, dtype=float), 2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,6 +42,10 @@ class HyperplaneProjection:
     @property
     def dim(self):
         return self.plane.dim
+
+    @property
+    def kernel(self):
+        return self.plane.project
 
     def apply(self, x):
         return geometry.project_hyperplane(x, self.plane)
@@ -84,6 +62,10 @@ class SubspaceProjection:
     @property
     def dim(self):
         return self.subspace.dim
+
+    @property
+    def kernel(self):
+        return self.subspace.project
 
     def apply(self, x):
         return geometry.project_affine_subspace(x, self.subspace)
@@ -104,6 +86,10 @@ class ConvexProjection:
     @property
     def dim(self):
         return self.body.dim
+
+    @property
+    def kernel(self):
+        return self.body.project
 
     def apply(self, x):
         return geometry.project_convex(x, self.body)
@@ -143,49 +129,23 @@ class AffineMap:
     def dim(self):
         return self.shift.shape[0]
 
-    def apply(self, x):
-        p = geometry._as_points(x, self.dim)
+    def kernel(self, p):
+        """Unvalidated image of ``(d,)`` or ``(k, d)`` float64 points."""
         if p.ndim == 1:
             return self.matrix @ p + self.shift
         return p @ self.matrix.T + self.shift
+
+    def apply(self, x):
+        return self.kernel(geometry._as_points(x, self.dim))
 
     def linear_part(self):
         return self.matrix
 
 
-#: Generator variants accepted by IFSystem.
+#: Generator variants accepted by IFSystem. Each has ``apply``, which
+#: validates its input, and ``kernel``, the same arithmetic unvalidated, which
+#: orbit steps use; so orbit points equal repeated ``apply`` bit for bit.
 MapSpec = (HyperplaneProjection, SubspaceProjection, ConvexProjection, AffineMap)
-
-
-def _compile_step(map_spec):
-    """Single-point stepper mirroring the arithmetic of ``map_spec.apply`` so
-    orbit points match the public projection functions bit for bit."""
-    if isinstance(map_spec, HyperplaneProjection):
-        a = map_spec.plane.normal
-        b = map_spec.plane.offset
-        aa = a @ a
-
-        def step(v, a=a, b=b, aa=aa):
-            return v - ((v @ a - b) / aa) * a
-
-        return step
-    if isinstance(map_spec, SubspaceProjection):
-        anchor = map_spec.subspace.anchor
-        basis = map_spec.subspace.basis
-        if basis.shape[0] == 0:
-            return lambda v, anchor=anchor: anchor.copy()
-
-        def step(v, anchor=anchor, basis=basis):
-            rel = v - anchor
-            return anchor + (rel @ basis.T) @ basis
-
-        return step
-    if isinstance(map_spec, AffineMap):
-        m = map_spec.matrix
-        c = map_spec.shift
-        return lambda v, m=m, c=c: m @ v + c
-    body = map_spec.body
-    return lambda v, body=body: geometry.project_convex(v, body)
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,13 +175,6 @@ class IFSystem:
         if not 1 <= symbol <= self.n_maps:
             raise SymbolRangeError(symbol, self.n_maps)
         return self.maps[symbol - 1]
-
-    def steppers(self):
-        cached = getattr(self, "_steppers", None)
-        if cached is None:
-            cached = tuple(_compile_step(m) for m in self.maps)
-            object.__setattr__(self, "_steppers", cached)
-        return cached
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,20 +212,10 @@ class Orbit:
 
 
 def symbols_from(driver, n, n_symbols):
-    """Materialize ``n`` symbols from a driver spec, stream, or plain sequence."""
-    if hasattr(driver, "stream"):
-        driver = driver.stream()
-    if hasattr(driver, "take"):
-        syms = driver.take(n)
-    else:
-        syms = np.asarray(list(itertools.islice(iter(driver), n)), dtype=np.int64)
-        if len(syms) < n:
-            raise DriverExhaustedError(f"driver supplied {len(syms)} of {n} requested symbols")
-    syms = np.asarray(syms, dtype=np.int64)
-    if len(syms) and (syms.min() < 1 or syms.max() > n_symbols):
-        bad = syms[(syms < 1) | (syms > n_symbols)][0]
-        raise SymbolRangeError(int(bad), n_symbols)
-    return syms
+    """The first ``n`` symbols of a driver (see :func:`drivers.symbol_blocks`)
+    as one int64 array."""
+    blocks = list(drivers.symbol_blocks(driver, n, n_symbols))
+    return blocks[0] if blocks else np.empty(0, dtype=np.int64)
 
 
 def apply_map(system, symbol, x):
@@ -280,8 +223,35 @@ def apply_map(system, symbol, x):
     return system.map_for(symbol).apply(geometry.as_vector(x, dim=system.dim))
 
 
+def _iterate(system, x0, blocks, n, stop=None):
+    """The orbit loop: step from ``x0`` through at most ``n`` symbols, given
+    as int64 blocks already checked to lie in ``1..n_maps``.
+
+    With a ``stop`` predicate, the orbit ends at the first point, ``x0``
+    included, for which it holds. Steps call the generators' kernels without
+    validation; callers validate ``x0`` and the symbols.
+    """
+    kernels = [m.kernel for m in system.maps]
+    pts = np.empty((n + 1, system.dim))
+    syms = np.empty(n, dtype=np.int64)
+    pts[0] = x0
+    k = 0
+    if stop is None or not stop(x0):
+        for block in blocks:
+            syms[k:k + len(block)] = block
+            for step in [kernels[i] for i in (block - 1).tolist()]:
+                x = step(pts[k])
+                k += 1
+                pts[k] = x
+                if stop is not None and stop(x):
+                    return Orbit(pts[:k + 1], syms[:k])
+    return Orbit(pts[:k + 1], syms[:k])
+
+
 def run_orbit(system, x0, driver, n):
-    """Iterate the system for ``n`` steps from ``x0`` under the given driver.
+    """Iterate the system for ``n`` steps from ``x0`` under the given driver:
+    a spec, a stream, or any integer sequence (see
+    :func:`drivers.symbol_blocks`).
 
     Deterministic: repeated calls with equal inputs reproduce the points bit
     for bit.
@@ -289,13 +259,7 @@ def run_orbit(system, x0, driver, n):
     start = geometry.as_vector(x0, dim=system.dim)
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    syms = symbols_from(driver, n, system.n_maps)
-    steps = system.steppers()
-    pts = np.empty((n + 1, system.dim))
-    pts[0] = start
-    for k in range(n):
-        pts[k + 1] = steps[syms[k] - 1](pts[k])
-    return Orbit(pts, syms)
+    return _iterate(system, start, [symbols_from(driver, n, system.n_maps)], n)
 
 
 def hutchinson(system, cloud):
@@ -336,7 +300,7 @@ def composition_lipschitz_exact(system, word):
         if lin is None:
             return None
         m = lin @ m
-    return spectral_norm(m, tol=1e-12, max_iter=10000)
+    return spectral_norm(m)
 
 
 def composition_lipschitz_on_tree(system, word, x0, depth, samples, seed):
@@ -349,7 +313,7 @@ def composition_lipschitz_on_tree(system, word, x0, depth, samples, seed):
     closer than ``DEGENERATE_PAIR_TOL`` being skipped. Raises
     :class:`DegenerateTreeError` when every sampled pair collapses.
     """
-    syms = validate_word(system, word)
+    syms = np.asarray(validate_word(system, word), dtype=np.int64)
     start = geometry.as_vector(x0, dim=system.dim)
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -363,18 +327,10 @@ def composition_lipschitz_on_tree(system, word, x0, depth, samples, seed):
     lengths = rng.integers(0, depth + 1, size=n_nodes)
     choices = rng.integers(1, system.n_maps + 1, size=(n_nodes, max(depth, 1)))
 
-    steps = system.steppers()
-    nodes = np.empty((n_nodes, system.dim))
-    for j in range(n_nodes):
-        v = start
-        for u in choices[j, : lengths[j]]:
-            v = steps[u - 1](v)
-        nodes[j] = v
+    def image(v, symbols):
+        return _iterate(system, v, [symbols], len(symbols)).points[-1]
 
-    def f_w(v):
-        for u in syms:
-            v = steps[u - 1](v)
-        return v
+    nodes = [image(start, choices[j, :lengths[j]]) for j in range(n_nodes)]
 
     best = None
     for j in range(samples):
@@ -382,7 +338,7 @@ def composition_lipschitz_on_tree(system, word, x0, depth, samples, seed):
         gap = float(np.linalg.norm(p - q))
         if gap < DEGENERATE_PAIR_TOL:
             continue
-        quot = float(np.linalg.norm(f_w(p) - f_w(q))) / gap
+        quot = float(np.linalg.norm(image(p, syms) - image(q, syms))) / gap
         best = quot if best is None else max(best, quot)
     if best is None:
         raise DegenerateTreeError(samples)

@@ -8,14 +8,14 @@ row projections keep revisiting.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DriverExhaustedError, GeometryValidationError
+from .drivers import symbol_blocks
+from .errors import GeometryValidationError
 from .geometry import Hyperplane, as_vector
-from .ifs import IFSystem, HyperplaneProjection, Orbit
+from .ifs import IFSystem, HyperplaneProjection, Orbit, _iterate
 from .omega import OmegaEstimate, describe_driver, estimate_omega
 
 MIN_ROW_NORM = 1e-12
@@ -23,6 +23,9 @@ MIN_ROW_NORM = 1e-12
 # Normals count as parallel when their unit vectors differ (up to sign) by
 # less than this.
 PARALLEL_ANGLE_TOL = 1e-10
+
+# Symbols drawn from the driver at a time by solve.
+SYMBOL_BLOCK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,61 +111,34 @@ class SolveReport:
         }
 
 
-def solve(system, driver, tol, max_iter, x0=None, chunk=4096):
+def solve(system, driver, tol, max_iter, x0=None):
     """Project onto row hyperplanes in driver order until the row-normalized
     residual drops to ``tol`` or ``max_iter`` steps have run.
 
-    A run stopped at ``max_iter`` gets an omega estimate of the final 20% of
-    its orbit with ``cluster_eps = max(tol, 1e-9)``.
+    The driver is a spec, a stream, or any integer sequence; its symbols are
+    drawn in blocks of ``SYMBOL_BLOCK`` as the run goes. A run stopped at
+    ``max_iter`` gets an omega estimate of the final 20% of its orbit with
+    ``cluster_eps = max(tol, 1e-9)``.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
-    ifs_system = system_to_ifs(system)
-    steps = ifs_system.steppers()
     x = np.zeros(system.dim) if x0 is None else as_vector(x0, dim=system.dim)
 
     norms = np.linalg.norm(system.coefficients, axis=1)
     a_unit = system.coefficients / norms[:, None]
     b_unit = system.rhs / norms
+    res = None
 
-    pts = np.empty((max_iter + 1, system.dim))
-    pts[0] = x
-    symbols = np.empty(max_iter, dtype=np.int64)
+    def settled(v):
+        nonlocal res
+        res = float(np.max(np.abs(a_unit @ v - b_unit)))
+        return res <= tol
 
-    res = float(np.max(np.abs(a_unit @ x - b_unit)))
+    blocks = symbol_blocks(driver, max_iter, system.n_rows, SYMBOL_BLOCK)
+    orbit = _iterate(system_to_ifs(system), x, blocks, max_iter, stop=settled)
     converged = res <= tol
-    if hasattr(driver, "stream"):
-        stream, preset = driver.stream(), None
-    else:
-        stream = None
-        preset = np.asarray(list(itertools.islice(iter(driver), max_iter)), dtype=np.int64)
-    k = 0
-    while not converged and k < max_iter:
-        want = min(chunk, max_iter - k)
-        if stream is not None:
-            block = np.asarray(stream.take_upto(want), dtype=np.int64)
-        else:
-            block = preset[k:k + want]
-        if len(block) == 0:
-            raise DriverExhaustedError(f"driver exhausted after {k} of {max_iter} steps")
-        if block.min() < 1 or block.max() > system.n_rows:
-            bad = block[(block < 1) | (block > system.n_rows)][0]
-            raise GeometryValidationError(f"driver symbol {bad} outside 1..{system.n_rows}")
-        for s in block:
-            x = steps[s - 1](pts[k])
-            pts[k + 1] = x
-            symbols[k] = s
-            k += 1
-            res = float(np.max(np.abs(a_unit @ x - b_unit)))
-            if res <= tol:
-                converged = True
-                break
-        if not converged and len(block) < want:
-            raise DriverExhaustedError(f"driver exhausted after {k} of {max_iter} steps")
-
-    orbit = Orbit(pts[:k + 1], symbols[:k])
     max_norm = float(np.linalg.norm(orbit.points, axis=1).max())
     omega = None
     if not converged:
@@ -173,7 +149,7 @@ def solve(system, driver, tol, max_iter, x0=None, chunk=4096):
     return SolveReport(
         final_point=orbit.points[-1].copy(),
         residual=res,
-        iterations=k,
+        iterations=orbit.n_steps,
         converged=converged,
         max_norm=max_norm,
         tol=float(tol),

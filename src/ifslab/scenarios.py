@@ -72,20 +72,32 @@ def map_from_dict(d, dim, where):
 
 
 def driver_from_dict(d, n_maps, where):
+    """Build a driver spec. An ``alphabet`` key overrides ``n_maps``, the
+    default alphabet size; with neither, only drivers that need none build."""
     kind = _get(d, "kind", where, required=True)
+    n = d.get("alphabet", n_maps)
+
+    def alphabet(needs):
+        _require(n is not None, where, f"{kind} driver needs {needs}")
+        return int(n)
+
     try:
         if kind == "cyclic":
-            perm = d.get("permutation", list(range(1, n_maps + 1)))
-            return drivers.Cyclic(tuple(perm))
+            if "permutation" in d:
+                return drivers.Cyclic(tuple(d["permutation"]))
+            n_perm = alphabet("a permutation or an alphabet size")
+            return drivers.Cyclic(tuple(range(1, n_perm + 1)))
         if kind == "iid":
             seed = _get(d, "seed", where, required=True)
             if "weights" in d:
                 return drivers.IidRandom(seed, tuple(d["weights"]))
-            return drivers.IidRandom.uniform(seed, n_maps)
+            return drivers.IidRandom.uniform(seed, alphabet("weights or an alphabet size"))
         if kind == "disjunctive":
-            return drivers.DisjunctiveEnumeration(d.get("alphabet", n_maps))
+            return drivers.DisjunctiveEnumeration(alphabet("an alphabet size"))
         if kind == "custom":
-            return drivers.Custom(tuple(d["symbols"]), d.get("alphabet", n_maps))
+            return drivers.Custom(tuple(d["symbols"]), n)
+    except ScenarioError:
+        raise
     except KeyError as exc:
         raise ScenarioError(f"{where}: missing key {exc} for driver kind {kind!r}") from exc
     except (IfsLabError, ValueError) as exc:
@@ -234,12 +246,10 @@ class ScenarioResult:
 
 def _run_check(scenario, check, orbit_result, estimate):
     kind = check["kind"]
-    if kind == "invariance":
+    if kind in ("invariance", "superinvariance"):
         rep = omega.check_invariance(scenario.system, estimate.representatives, check["tol"])
-        return CheckOutcome(kind, rep.invariant, rep.to_dict())
-    if kind == "superinvariance":
-        rep = omega.check_invariance(scenario.system, estimate.representatives, check["tol"])
-        return CheckOutcome(kind, rep.superinvariant, rep.to_dict())
+        passed = rep.invariant if kind == "invariance" else rep.superinvariant
+        return CheckOutcome(kind, passed, rep.to_dict())
     if kind == "matches_reference":
         dist = omega.hausdorff(estimate.representatives, scenario.reference_cloud)
         return CheckOutcome(kind, dist <= check["tol"],

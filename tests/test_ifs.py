@@ -6,6 +6,7 @@ import pytest
 from ifslab import (
     AffineMap,
     Ball,
+    Box,
     ConvexProjection,
     Custom,
     Cyclic,
@@ -13,9 +14,11 @@ from ifslab import (
     DisjunctiveEnumeration,
     DriverExhaustedError,
     GeometryValidationError,
+    Halfspace,
     Hyperplane,
     HyperplaneProjection,
     IFSystem,
+    IidRandom,
     PointCloud,
     SubspaceProjection,
     SymbolRangeError,
@@ -27,6 +30,10 @@ from ifslab import (
     spectral_norm,
 )
 from ifslab.geometry import AffineSubspace
+
+# Orthogonal to both start vectors of a power iteration from (1, 1, 1) and
+# (1, 2, 3), so such an iteration never sees the stretch along it.
+HIDDEN = np.array([1.0, -2.0, 1.0]) / np.sqrt(6.0)
 
 
 def line(normal, offset):
@@ -126,6 +133,52 @@ def test_orbits_with_shared_driver_stay_nonexpansive():
     b = run_orbit(sys3, rng.standard_normal(2) * 3, syms, 300)
     gaps = np.linalg.norm(a.points - b.points, axis=1)
     assert np.all(np.diff(gaps) <= 1e-10)
+
+
+def test_numpy_array_drivers_replay_orbits():
+    sys3 = triangle_system()
+    orbit = run_orbit(sys3, [0.2, 0.6], IidRandom.uniform(4, 3), 300)
+    replay = run_orbit(sys3, [0.2, 0.6], orbit.symbols, 300)
+    assert np.array_equal(replay.points, orbit.points)
+    assert np.array_equal(replay.symbols, orbit.symbols)
+    prefix = run_orbit(sys3, [0.2, 0.6], np.array([1, 2, 1, 2]), 2)
+    assert np.array_equal(prefix.points, run_orbit(sys3, [0.2, 0.6], [1, 2], 2).points)
+    with pytest.raises(DriverExhaustedError):
+        run_orbit(sys3, [0.2, 0.6], np.array([1, 2, 1, 2]), 5)
+
+
+def _mover():
+    # A rotation about (1, 1, 1) followed by a shift: nonexpansive, and it
+    # carries points back out of every body below.
+    axis = np.ones(3) / np.sqrt(3.0)
+    k = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    rotation = np.eye(3) + np.sin(1.0) * k + (1.0 - np.cos(1.0)) * (k @ k)
+    return AffineMap(rotation, [0.9, -0.4, 0.2])
+
+
+GENERATORS = {
+    "hyperplane": lambda: HyperplaneProjection(Hyperplane([1.0, 2.0, -1.0], 0.5)),
+    "subspace": lambda: SubspaceProjection(
+        AffineSubspace.spanned_by([0.1, 0.2, 0.3], [[1.0, 0.0, 1.0]])),
+    "empty-basis subspace": lambda: SubspaceProjection(
+        AffineSubspace.single_point([0.1, -0.2, 0.3])),
+    "halfspace": lambda: ConvexProjection(Halfspace([1.0, -1.0, 0.5], 0.2)),
+    "ball": lambda: ConvexProjection(Ball([0.1, 0.0, 0.0], 0.8)),
+    "box": lambda: ConvexProjection(Box([-0.5, -0.5, -0.5], [0.4, 0.6, 0.5])),
+    "affine": lambda: AffineMap(0.5 * np.eye(3) + 0.3 * np.outer(HIDDEN, HIDDEN),
+                                [0.2, 0.1, -0.3]),
+}
+
+
+@pytest.mark.parametrize("kind", list(GENERATORS))
+def test_orbit_steps_equal_repeated_apply(kind):
+    system = IFSystem((GENERATORS[kind](), _mover()), 3)
+    for x0 in ([0.05, 0.05, 0.05], [3.0, -2.0, 4.0]):
+        orbit = run_orbit(system, x0, IidRandom.uniform(9, 2), 200)
+        x = np.asarray(x0, dtype=float)
+        for k, s in enumerate(orbit.symbols):
+            x = apply_map(system, int(s), x)
+            assert np.array_equal(orbit.points[k + 1], x)
 
 
 def test_hutchinson_singleton():
@@ -286,6 +339,19 @@ def test_affine_map_rejects_expansive_matrix():
         AffineMap(1.1 * np.eye(2), [0, 0])
     # within tolerance: accepted
     AffineMap((1.0 + 5e-10) * np.eye(2), [0, 0])
+
+
+def test_affine_map_rejects_norm_power_iteration_misses():
+    m = 0.5 * np.eye(3) + 0.7 * np.outer(HIDDEN, HIDDEN)
+    assert spectral_norm(m) == pytest.approx(1.2, abs=1e-12)
+    with pytest.raises(GeometryValidationError):
+        AffineMap(m, [0, 0, 0])
+
+
+def test_composition_exact_sees_hidden_direction():
+    m = 0.5 * np.eye(3) + 0.5 * np.outer(HIDDEN, HIDDEN)
+    system = IFSystem((AffineMap(m, [0, 0, 0]),), 3)
+    assert composition_lipschitz_exact(system, (1,)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ifsystem_validates_maps():

@@ -11,8 +11,10 @@ from ifslab import (
     GeometryValidationError,
     IidRandom,
     LinearSystem,
+    SymbolRangeError,
     gap_between,
     project_hyperplane,
+    run_orbit,
     solve,
     system_to_ifs,
 )
@@ -163,6 +165,32 @@ def test_gap_between_examples():
 def test_solve_custom_driver_exhaustion():
     with pytest.raises(DriverExhaustedError):
         solve(PARALLEL_PAIR, Custom((1, 2, 1)), tol=1e-15, max_iter=10)
+
+
+def test_out_of_range_symbol_raises_same_error_in_solve_and_run_orbit():
+    ifs_pair = system_to_ifs(PARALLEL_PAIR)
+    for driver in ([1, 3], np.array([1, 3]), Cyclic((3, 1, 2))):
+        with pytest.raises(SymbolRangeError):
+            run_orbit(ifs_pair, [0.0, 0.3], driver, 2)
+        with pytest.raises(SymbolRangeError):
+            solve(PARALLEL_PAIR, driver, tol=1e-9, max_iter=2)
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_solve_orbit_equals_run_orbit(consistent):
+    if consistent:
+        sys_lin, _ = seeded_well_conditioned_system(11, n=8)
+    else:
+        sys_lin = LinearSystem([[0, 1], [1, 1], [1, 0]], [0, 1, 0])
+    n = sys_lin.n_rows
+    symbols = np.random.default_rng(3).integers(1, n + 1, size=2000)
+    for driver in (Cyclic(tuple(range(n, 0, -1))), IidRandom.uniform(21, n), symbols):
+        report = solve(sys_lin, driver, tol=1e-8, max_iter=2000, x0=np.ones(sys_lin.dim))
+        assert report.converged == consistent
+        orbit = run_orbit(system_to_ifs(sys_lin), np.ones(sys_lin.dim), driver,
+                          report.iterations)
+        assert np.array_equal(report.orbit.points, orbit.points)
+        assert np.array_equal(report.orbit.symbols, orbit.symbols)
 
 
 def test_solve_report_serializes():

@@ -159,6 +159,19 @@ def test_cli_driver_gen_is_seed_reproducible(capsys):
     assert capsys.readouterr().out == first
 
 
+@pytest.mark.parametrize("options", [
+    ["--kind", "cyclic"],
+    ["--kind", "iid", "--alphabet", "3"],
+    ["--kind", "iid", "--seed", "5"],
+    ["--kind", "disjunctive"],
+    ["--kind", "custom"],
+])
+def test_cli_driver_gen_missing_option_exits_two(options, capsys):
+    assert main(["driver", "gen", *options, "--n", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_driver_audit(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text("\n".join("121212"))
