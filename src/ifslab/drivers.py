@@ -283,9 +283,6 @@ class RepetitionReport:
     absent: tuple
     prefix_length: int
 
-    def count_of(self, symbol):
-        return self.counts[symbol - 1]
-
     def to_dict(self):
         return {
             "counts": {str(i + 1): c for i, c in enumerate(self.counts)},

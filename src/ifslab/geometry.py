@@ -72,7 +72,7 @@ class Hyperplane:
             raise GeometryValidationError("hyperplane normal is numerically zero")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "_aa", n @ n)
+        object.__setattr__(self, "_aa", float(n @ n))
 
     @property
     def dim(self):
@@ -81,7 +81,7 @@ class Hyperplane:
     def project(self, p):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
         ``p - ((a.p - b)/|a|^2) a``."""
-        return _move_along(p, self.normal, (p @ self.normal - self.offset) / self._aa)
+        return _normal_step(p, self, False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,7 +168,7 @@ class Halfspace:
             raise GeometryValidationError("halfspace normal is numerically zero")
         object.__setattr__(self, "normal", n)
         object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "_aa", n @ n)
+        object.__setattr__(self, "_aa", float(n @ n))
 
     @property
     def dim(self):
@@ -177,8 +177,7 @@ class Halfspace:
     def project(self, p):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
         the hyperplane step, taken only where ``a.p > b``."""
-        t = np.maximum((p @ self.normal - self.offset) / self._aa, 0.0)
-        return _move_along(p, self.normal, t)
+        return _normal_step(p, self, True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,12 +236,17 @@ class Box:
 ConvexBody = (Halfspace, Ball, Box)
 
 
-def _move_along(p, normal, t):
-    """``p - t * normal`` for one point and scalar ``t``, or row-wise for a
-    stack of points and one ``t`` per row."""
+def _normal_step(p, flat, clamp):
+    """``p - t a`` with ``t = (a.p - b)/|a|^2``, raised to 0 if ``clamp``, for
+    normal ``a`` and offset ``b``; one ``t`` per row of a stack. For one point
+    ``a.dot(p)`` is the BLAS dot of ``p @ a`` at half its call overhead."""
+    a = flat.normal
     if p.ndim == 1:
-        return p - t * normal
-    return p - t[:, None] * normal
+        t = (float(a.dot(p)) - flat.offset) / flat._aa
+        # as np.maximum(t, 0.0) on a float, NaN and -0.0 included
+        return p - (0.0 if clamp and t <= 0.0 else t) * a
+    t = (p @ a - flat.offset) / flat._aa
+    return p - (np.maximum(t, 0.0) if clamp else t)[:, None] * a
 
 
 def project_hyperplane(x, plane):
