@@ -71,11 +71,10 @@ def _driver_from_args(args, n_symbols):
     def listed(text, parse):
         return [parse(s) for s in text.split(",")] if text else None
 
-    d = {"kind": args.kind, "seed": args.seed, "alphabet": args.alphabet or None,
-         "permutation": listed(args.perm, int), "weights": listed(args.weights, float),
-         "symbols": listed(args.symbols, int)}
+    d = {"kind": args.kind, "seed": args.seed, "permutation": listed(args.perm, int),
+         "weights": listed(args.weights, float), "symbols": listed(args.symbols, int)}
     return scenarios.driver_from_dict({k: v for k, v in d.items() if v is not None},
-                                      n_symbols, "driver")
+                                      args.alphabet or n_symbols, "driver")
 
 
 def _cmd_driver_gen(args):

@@ -81,7 +81,7 @@ class Hyperplane:
     def project(self, p):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
         ``p - ((a.p - b)/|a|^2) a``."""
-        return _normal_step(p, self, False)
+        return _move_along(p, self.normal, (p.dot(self.normal) - self.offset) / self._aa)
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +177,8 @@ class Halfspace:
     def project(self, p):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
         the hyperplane step, taken only where ``a.p > b``."""
-        return _normal_step(p, self, True)
+        t = np.maximum((p.dot(self.normal) - self.offset) / self._aa, 0.0)
+        return _move_along(p, self.normal, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,17 +237,12 @@ class Box:
 ConvexBody = (Halfspace, Ball, Box)
 
 
-def _normal_step(p, flat, clamp):
-    """``p - t a`` with ``t = (a.p - b)/|a|^2``, raised to 0 if ``clamp``, for
-    normal ``a`` and offset ``b``; one ``t`` per row of a stack. For one point
-    ``a.dot(p)`` is the BLAS dot of ``p @ a`` at half its call overhead."""
-    a = flat.normal
+def _move_along(p, normal, t):
+    """``p - t * normal`` for one point and scalar ``t``, or row-wise for a
+    stack of points and one ``t`` per row."""
     if p.ndim == 1:
-        t = (float(a.dot(p)) - flat.offset) / flat._aa
-        # as np.maximum(t, 0.0) on a float, NaN and -0.0 included
-        return p - (0.0 if clamp and t <= 0.0 else t) * a
-    t = (p @ a - flat.offset) / flat._aa
-    return p - (np.maximum(t, 0.0) if clamp else t)[:, None] * a
+        return p - t * normal
+    return p - t[:, None] * normal
 
 
 def project_hyperplane(x, plane):

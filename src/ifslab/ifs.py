@@ -29,9 +29,6 @@ NONEXPANSIVE_SLACK = 1e-9
 # Pairs closer than this carry no usable Lipschitz quotient.
 DEGENERATE_PAIR_TOL = 1e-12
 
-# Orbit steps between checks for a common fixed point of all generators.
-FIXED_POINT_CHECK = 32
-
 
 def spectral_norm(matrix):
     """Largest singular value: the operator 2-norm, by SVD."""
@@ -230,38 +227,24 @@ def _iterate(system, x0, blocks, n, stop=None):
     """The orbit loop: step from ``x0`` through at most ``n`` symbols, given
     as int64 blocks already checked to lie in ``1..n_maps``.
 
-    With a ``stop`` predicate, which must depend on the point alone, the
-    orbit ends at the first point, ``x0`` included, for which it holds.
-    Steps call the generators' kernels without validation; callers validate
-    ``x0`` and the symbols. Once the orbit lands on a point that the last
-    step and every generator leave unchanged bit for bit, the remaining
-    points are filled with it.
+    With a ``stop`` predicate, the orbit ends at the first point, ``x0``
+    included, for which it holds. Steps call the generators' kernels without
+    validation; callers validate ``x0`` and the symbols.
     """
     kernels = [m.kernel for m in system.maps]
     pts = np.empty((n + 1, system.dim))
     syms = np.empty(n, dtype=np.int64)
     pts[0] = x = x0
     k = 0
-    if stop is not None and stop(x0):
-        return Orbit(pts[:1], syms[:0])
-    fixed = False
-    for block in blocks:
-        end = k + len(block)
-        syms[k:end] = block
-        steps = [] if fixed else [kernels[i] for i in (block - 1).tolist()]
-        for start in range(0, len(steps), FIXED_POINT_CHECK):
-            for step in steps[start:start + FIXED_POINT_CHECK]:
+    if stop is None or not stop(x0):
+        for block in blocks:
+            syms[k:k + len(block)] = block
+            for step in [kernels[i] for i in (block - 1).tolist()]:
                 x = step(x)
                 k += 1
                 pts[k] = x
                 if stop is not None and stop(x):
                     return Orbit(pts[:k + 1], syms[:k])
-            b = x.tobytes()
-            fixed = pts[k - 1].tobytes() == b and all(f(x).tobytes() == b for f in kernels)
-            if fixed:
-                break
-        pts[k + 1:end + 1] = x
-        k = end
     return Orbit(pts[:k + 1], syms[:k])
 
 

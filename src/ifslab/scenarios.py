@@ -72,30 +72,30 @@ def map_from_dict(d, dim, where):
 
 
 def driver_from_dict(d, n_maps, where):
-    """Build a driver spec. An ``alphabet`` key overrides ``n_maps``, the
-    default alphabet size; with neither, only drivers that need none build."""
+    """Build a driver spec over ``n_maps`` symbols. With ``n_maps`` None,
+    drivers that need an alphabet size and are not given one fail."""
     kind = _get(d, "kind", where, required=True)
-    n = d.get("alphabet", n_maps)
 
-    def alphabet(needs):
+    def size(n, needs):
         _require(n is not None, where, f"{kind} driver needs {needs}")
-        return int(n)
+        return n
 
     try:
         if kind == "cyclic":
             if "permutation" in d:
                 return drivers.Cyclic(tuple(d["permutation"]))
-            n_perm = alphabet("a permutation or an alphabet size")
+            n_perm = size(n_maps, "a permutation or an alphabet size")
             return drivers.Cyclic(tuple(range(1, n_perm + 1)))
         if kind == "iid":
             seed = _get(d, "seed", where, required=True)
             if "weights" in d:
                 return drivers.IidRandom(seed, tuple(d["weights"]))
-            return drivers.IidRandom.uniform(seed, alphabet("weights or an alphabet size"))
+            return drivers.IidRandom.uniform(seed, size(n_maps, "weights or an alphabet size"))
         if kind == "disjunctive":
-            return drivers.DisjunctiveEnumeration(alphabet("an alphabet size"))
+            return drivers.DisjunctiveEnumeration(size(d.get("alphabet", n_maps),
+                                                       "an alphabet size"))
         if kind == "custom":
-            return drivers.Custom(tuple(d["symbols"]), n)
+            return drivers.Custom(tuple(d["symbols"]), d.get("alphabet", n_maps))
     except ScenarioError:
         raise
     except KeyError as exc:

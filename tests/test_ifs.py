@@ -181,39 +181,6 @@ def test_orbit_steps_equal_repeated_apply(kind):
             assert np.array_equal(orbit.points[k + 1], x)
 
 
-def _stepwise(system, x0, symbols):
-    x = np.asarray(x0, dtype=float)
-    points = [x]
-    for s in symbols:
-        x = apply_map(system, int(s), x)
-        points.append(x)
-    return np.array(points)
-
-
-@pytest.mark.parametrize("system, x0", [
-    # lands on the crossing (0, 0) of the two lines in its first step
-    (IFSystem((line([1, -1], 0), line([0, 1], 0)), 2), [0.0, 2.0]),
-    (IFSystem((line([1, -1], 0), line([0, 1], 0)), 2), [-0.0, 2.0]),
-    # a box and two halfspaces: every point of their intersection is fixed
-    (IFSystem((ConvexProjection(Halfspace([1, 0], 1)), ConvexProjection(Halfspace([0, 1], 1)),
-               ConvexProjection(Box([-2, -2], [2, 2]))), 2), [3.0, 5.0]),
-])
-def test_orbit_through_common_fixed_point_equals_repeated_apply(system, x0):
-    symbols = np.random.default_rng(4).integers(1, system.n_maps + 1, size=300)
-    orbit = run_orbit(system, x0, symbols, len(symbols))
-    assert np.array_equal(orbit.symbols, symbols)
-    assert orbit.points.tobytes() == _stepwise(system, x0, symbols).tobytes()
-
-
-def test_point_fixed_by_one_generator_keeps_stepping():
-    # 40 steps on y=0 leave the point unchanged, but y=1 still moves it
-    symbols = [1] * 40 + [2] * 3 + [1, 2] * 30
-    orbit = run_orbit(parallel_lines_system(), [3.0, 0.4], symbols, len(symbols))
-    assert orbit.points[41].tolist() == [3.0, 1.0]
-    assert orbit.points.tobytes() == _stepwise(parallel_lines_system(), [3.0, 0.4],
-                                               symbols).tobytes()
-
-
 def test_hutchinson_singleton():
     sys2 = parallel_lines_system()
     out = hutchinson(sys2, PointCloud.of([3.0, 0.4]))

@@ -9,7 +9,6 @@ from ifslab import (
     Cyclic,
     DriverExhaustedError,
     GeometryValidationError,
-    Hyperplane,
     IidRandom,
     LinearSystem,
     SymbolRangeError,
@@ -19,7 +18,6 @@ from ifslab import (
     solve,
     system_to_ifs,
 )
-from ifslab import kaczmarz
 
 PARALLEL_PAIR = LinearSystem([[0, 1], [0, 1]], [0, 1])  # y=0 and y=1
 
@@ -193,27 +191,6 @@ def test_solve_orbit_equals_run_orbit(consistent):
                           report.iterations)
         assert np.array_equal(report.orbit.points, orbit.points)
         assert np.array_equal(report.orbit.symbols, orbit.symbols)
-
-
-def test_solve_on_rounding_fixed_point_runs_to_max_iter(monkeypatch):
-    # From step 20 on the iterate is a floating-point fixed point of both
-    # rows, with residual 2.2e-16 above the tolerance: the run goes on to
-    # max_iter, across many symbol blocks, without moving.
-    monkeypatch.setattr(kaczmarz, "SYMBOL_BLOCK", 10)
-    sys_lin = LinearSystem([[-3, -2], [-1, 2]], [-7, 3])
-    symbols = [1, 2] * 50
-    report = solve(sys_lin, symbols, tol=1e-300, max_iter=100, x0=[0.0, 0.0])
-    assert report.iterations == 100 and not report.converged
-    x = np.zeros(2)
-    points = [x]
-    for s in symbols:
-        x = project_hyperplane(x, Hyperplane(sys_lin.coefficients[s - 1], sys_lin.rhs[s - 1]))
-        points.append(x)
-    assert report.orbit.points.tobytes() == np.array(points).tobytes()
-    assert (report.orbit.points[20:] == report.orbit.points[20]).all()
-    a_unit = sys_lin.coefficients / np.linalg.norm(sys_lin.coefficients, axis=1)[:, None]
-    b_unit = sys_lin.rhs / np.linalg.norm(sys_lin.coefficients, axis=1)
-    assert report.residual == float(np.max(np.abs(a_unit @ points[-1] - b_unit))) > 0.0
 
 
 def test_solve_report_serializes():

@@ -7,9 +7,11 @@ import pytest
 
 from ifslab import fileio
 from ifslab.cli import main
+from ifslab.drivers import Cyclic, IidRandom
 from ifslab.scenarios import (
     PRESET_NAMES,
     ScenarioError,
+    driver_from_dict,
     preset_config,
     run_scenario,
     scenario_from_dict,
@@ -170,6 +172,13 @@ def test_cli_driver_gen_missing_option_exits_two(options, capsys):
     assert main(["driver", "gen", *options, "--n", "5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_config_alphabet_leaves_cyclic_and_iid_on_all_maps():
+    # only disjunctive and custom drivers read an ``alphabet`` key
+    assert driver_from_dict({"kind": "cyclic", "alphabet": 2}, 3, "d") == Cyclic((1, 2, 3))
+    assert driver_from_dict({"kind": "iid", "seed": 4, "alphabet": 2}, 3, "d") \
+        == IidRandom.uniform(4, 3)
 
 
 def test_cli_driver_audit(tmp_path, capsys):
