@@ -13,8 +13,21 @@ from .errors import DimensionMismatchError, EmptyCloudError, GeometryValidationE
 # Points closer than this are treated as one point when clouds are built.
 DEDUP_TOL = 1e-12
 
+# Query points per distance array, which bounds it to QUERY_BLOCK x cloud size;
+# greedy_thin takes its arrival-order blocks of this size too.
+QUERY_BLOCK = 1024
 
-def greedy_thin(points, eps, block=2048):
+
+def nearest_distances(queries, points):
+    """Distance from each query point to the nearest of ``points``, computed
+    for QUERY_BLOCK queries at a time."""
+    out = np.empty(len(queries))
+    for start in range(0, len(queries), QUERY_BLOCK):
+        out[start:start + QUERY_BLOCK] = cdist(queries[start:start + QUERY_BLOCK], points).min(axis=1)
+    return out
+
+
+def greedy_thin(points, eps):
     """Arrival-order greedy thinning: keep a point iff it lies strictly farther
     than ``eps`` from every point kept so far.
 
@@ -27,10 +40,10 @@ def greedy_thin(points, eps, block=2048):
     if len(pts) == 0:
         return pts.copy()
     kept = []
-    for start in range(0, len(pts), block):
-        blk = pts[start:start + block]
+    for start in range(0, len(pts), QUERY_BLOCK):
+        blk = pts[start:start + QUERY_BLOCK]
         if kept:
-            dmin = cdist(blk, np.asarray(kept)).min(axis=1)
+            dmin = nearest_distances(blk, np.asarray(kept))
         else:
             dmin = np.full(len(blk), np.inf)
         while True:
@@ -77,7 +90,7 @@ class PointCloud:
         q = np.atleast_2d(np.asarray(x, dtype=float))
         if q.shape[1] != self.dim:
             raise DimensionMismatchError(self.dim, q.shape[1], "query points")
-        return cdist(q, self.points).min(axis=1)
+        return nearest_distances(q, self.points)
 
     def to_list(self):
         return [[float(c) for c in p] for p in self.points]

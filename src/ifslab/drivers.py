@@ -9,10 +9,12 @@ uniform double by inverse-CDF lookup on the cumulative weights, so a
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DriverExhaustedError, SymbolRangeError
 
@@ -90,11 +92,8 @@ class Custom:
 
     def __post_init__(self):
         syms = tuple(int(s) for s in self.symbols)
-        n = self.alphabet_size
-        n = max(syms, default=1) if n is None else int(n)
-        for s in syms:
-            if not 1 <= s <= n:
-                raise SymbolRangeError(s, n)
+        n = max(syms, default=1) if self.alphabet_size is None else int(self.alphabet_size)
+        check_symbols(np.asarray(syms, dtype=np.int64), n)
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "alphabet_size", n)
 
@@ -157,34 +156,26 @@ class _IidStream(SymbolStream):
 
 
 class _EnumerationStream(SymbolStream):
-    def __init__(self, spec):
-        super().__init__(spec)
-        self._length = 1
-        self._index = 0
-        self._buffer = []
-
-    def _next_word(self):
-        n = self.spec.n_symbols
-        digits = []
-        w = self._index
-        for _ in range(self._length):
-            digits.append(w % n + 1)
-            w //= n
-        digits.reverse()
-        self._index += 1
-        if self._index == n ** self._length:
-            self._index = 0
-            self._length += 1
-        return digits
+    """Symbols worked out from their positions: words of length ``L`` start at
+    ``enumeration_prefix_length(L - 1, N)``, and word ``w`` of that length is
+    the ``L`` base-N digits of ``w``, plus one."""
 
     def take_upto(self, n):
-        buf = self._buffer
-        while len(buf) < n:
-            buf.extend(self._next_word())
-        out = np.asarray(buf[:n], dtype=np.int64)
-        del buf[:n]
-        self.position += n
-        return out
+        base = self.spec.n_symbols
+        start, stop = self.position, self.position + n
+        pieces = []
+        length, first = 1, 0  # a word length and the position of its first symbol
+        while first < stop:
+            end = first + length * base ** length
+            if end > start:
+                lo, hi = max(start, first) - first, min(stop, end) - first
+                words = np.arange(lo // length, (hi - 1) // length + 1, dtype=np.int64)
+                powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
+                digits = (words[:, None] // powers % base + 1).ravel()
+                pieces.append(digits[lo % length:lo % length + hi - lo])
+            length, first = length + 1, end
+        self.position = stop
+        return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
 
 
 class _CustomStream(SymbolStream):
@@ -208,6 +199,15 @@ class _IterableStream(SymbolStream):
         return out
 
 
+def check_symbols(symbols, n_symbols):
+    """The int64 array ``symbols``, checked to lie in ``1..n_symbols``; raises
+    :class:`SymbolRangeError` for the first symbol outside."""
+    bad = np.flatnonzero((symbols < 1) | (symbols > n_symbols))
+    if len(bad):
+        raise SymbolRangeError(int(symbols[bad[0]]), n_symbols)
+    return symbols
+
+
 def symbol_blocks(driver, n, n_symbols, size=None):
     """Yield the first ``n`` symbols of a driver as int64 blocks of at most
     ``size`` symbols (default: one block), each checked to lie in
@@ -228,9 +228,7 @@ def symbol_blocks(driver, n, n_symbols, size=None):
     size = size or max(n, 1)
     for start in range(0, n, size):
         want = min(size, n - start)
-        block = stream.take_upto(want)
-        if len(block) and (block.min() < 1 or block.max() > n_symbols):
-            raise SymbolRangeError(int(block[(block < 1) | (block > n_symbols)][0]), n_symbols)
+        block = check_symbols(stream.take_upto(want), n_symbols)
         yield block
         if len(block) < want:
             raise DriverExhaustedError(f"driver exhausted after {start + len(block)} "
@@ -262,17 +260,8 @@ class DisjunctivityReport:
         return self.missing_count == 0
 
     def to_dict(self):
-        return {
-            "window_length": self.window_length,
-            "alphabet_size": self.alphabet_size,
-            "total_words": self.total_words,
-            "found": self.found,
-            "missing_count": self.missing_count,
-            "missing": [list(w) for w in self.missing],
-            "prefix_length": self.prefix_length,
-            "complete": self.complete,
-            "warning": self.warning,
-        }
+        return {**asdict(self), "missing": [list(w) for w in self.missing],
+                "complete": self.complete}
 
 
 @dataclass(frozen=True)
@@ -292,50 +281,41 @@ class RepetitionReport:
 
 
 def _infer_alphabet(seq, alphabet_size):
-    if alphabet_size is not None:
-        n = int(alphabet_size)
-    elif len(seq):
-        n = int(max(seq))
-    else:
+    """The prefix as a checked int64 array, and its alphabet size."""
+    seq = np.asarray(seq if isinstance(seq, np.ndarray) else list(seq), dtype=np.int64)
+    if alphabet_size is None and not len(seq):
         raise ValueError("alphabet size is required for an empty sequence")
-    for s in seq:
-        if not 1 <= s <= n:
-            raise SymbolRangeError(int(s), n)
-    return n
+    n = int(seq.max()) if alphabet_size is None else int(alphabet_size)
+    return check_symbols(seq, n), n
 
 
 def check_disjunctive(seq, window_length, alphabet_size=None):
     """Audit a finite prefix: which words of length ``window_length`` occur as
     contiguous windows. Missing words are listed in lexicographic order,
-    truncated to the first 20."""
+    truncated to the first 20. Windows are read as base-N integer codes, which
+    run over the words in lexicographic order; the cost is O(prefix + N^m)."""
     if window_length < 1:
         raise ValueError("window length must be at least 1")
-    seq = [int(s) for s in seq]
-    n = _infer_alphabet(seq, alphabet_size)
+    seq, n = _infer_alphabet(seq, alphabet_size)
     m = int(window_length)
     total = n ** m
     if total > 10_000_000:
         raise ValueError(f"window audit would enumerate {total} words; pick a smaller m")
+    powers = n ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    seen = np.zeros(total, dtype=bool)
     warning = None
     if len(seq) < m:
         warning = f"sequence of length {len(seq)} is shorter than the window {m}"
-        seen = set()
     else:
-        seen = {tuple(seq[i:i + m]) for i in range(len(seq) - m + 1)}
-    missing_count = 0
-    missing = []
-    for word in itertools.product(range(1, n + 1), repeat=m):
-        if word not in seen:
-            missing_count += 1
-            if len(missing) < 20:
-                missing.append(word)
+        seen[sliding_window_view(seq - 1, m) @ powers] = True
+    missing = np.flatnonzero(~seen)
     return DisjunctivityReport(
         window_length=m,
         alphabet_size=n,
         total_words=total,
-        found=total - missing_count,
-        missing_count=missing_count,
-        missing=tuple(missing),
+        found=total - len(missing),
+        missing_count=len(missing),
+        missing=tuple(map(tuple, (missing[:20, None] // powers % n + 1).tolist())),
         prefix_length=len(seq),
         warning=warning,
     )
@@ -343,11 +323,10 @@ def check_disjunctive(seq, window_length, alphabet_size=None):
 
 def check_repetitive(seq, alphabet_size):
     """Exact per-symbol occurrence counts over a prefix."""
-    seq = [int(s) for s in seq]
-    n = _infer_alphabet(seq, alphabet_size)
-    counts = np.bincount(np.asarray(seq, dtype=np.int64), minlength=n + 1)[1:]
-    absent = tuple(int(i + 1) for i, c in enumerate(counts) if c == 0)
-    return RepetitionReport(tuple(int(c) for c in counts), absent, len(seq))
+    seq, n = _infer_alphabet(seq, alphabet_size)
+    counts = np.bincount(seq, minlength=n + 1)[1:]
+    absent = np.flatnonzero(counts == 0) + 1
+    return RepetitionReport(tuple(counts.tolist()), tuple(absent.tolist()), len(seq))
 
 
 def enumeration_prefix_length(window_length, alphabet_size):
@@ -355,3 +334,22 @@ def enumeration_prefix_length(window_length, alphabet_size):
     length up to ``window_length``: sum of k * N^k for k <= window_length."""
     n = int(alphabet_size)
     return sum(k * n ** k for k in range(1, int(window_length) + 1))
+
+
+def describe_driver(driver):
+    """A JSON-ready record of a driver: ``{"kind": <class name>, <its fields>,
+    "n_symbols": ...}`` for a spec, tuples written as lists. A finite sequence
+    (list, tuple or numpy array) is recorded as the :class:`Custom` spec of
+    its symbols. A sequence that is no valid ``Custom`` (a symbol below 1
+    past the part a run read), any other iterable and a stream are recorded
+    by type name only."""
+    if driver is None or isinstance(driver, str):
+        return driver
+    if isinstance(driver, (list, tuple, np.ndarray)):
+        with contextlib.suppress(SymbolRangeError):
+            driver = Custom(tuple(driver))
+    if not isinstance(driver, DriverSpec):
+        return {"kind": type(driver).__name__}
+    return {"kind": type(driver).__name__,
+            **{k: list(v) if isinstance(v, tuple) else v for k, v in asdict(driver).items()},
+            "n_symbols": driver.n_symbols}

@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyCloudError,
     GeometryValidationError,
-    SymbolRangeError,
 )
 
 # Affine generators may exceed spectral norm 1 by at most this much, absorbing
@@ -172,8 +171,7 @@ class IFSystem:
         return len(self.maps)
 
     def map_for(self, symbol):
-        if not 1 <= symbol <= self.n_maps:
-            raise SymbolRangeError(symbol, self.n_maps)
+        drivers.check_symbols(np.array([symbol], dtype=np.int64), self.n_maps)
         return self.maps[symbol - 1]
 
 
@@ -244,8 +242,16 @@ def _iterate(system, x0, blocks, n, stop=None):
                 k += 1
                 pts[k] = x
                 if stop is not None and stop(x):
-                    return Orbit(pts[:k + 1], syms[:k])
-    return Orbit(pts[:k + 1], syms[:k])
+                    return _used(pts, syms, k)
+    return _used(pts, syms, k)
+
+
+def _used(pts, syms, k):
+    """The orbit of the first ``k`` steps. The buffers have no views, so they
+    shrink in place: no unused rows stay alive and no second copy is made."""
+    pts.resize((k + 1, pts.shape[1]), refcheck=False)
+    syms.resize(k, refcheck=False)
+    return Orbit(pts, syms)
 
 
 def run_orbit(system, x0, driver, n):
@@ -278,13 +284,11 @@ def hutchinson(system, cloud):
 
 
 def validate_word(system, word):
-    syms = [int(u) for u in word]
-    if not syms:
+    """The word as an int64 array, checked to be nonempty and in range."""
+    syms = np.array([int(u) for u in word], dtype=np.int64)
+    if not len(syms):
         raise ValueError("composition word must be nonempty")
-    for u in syms:
-        if not 1 <= u <= system.n_maps:
-            raise SymbolRangeError(u, system.n_maps)
-    return syms
+    return drivers.check_symbols(syms, system.n_maps)
 
 
 def composition_lipschitz_exact(system, word):
@@ -313,7 +317,7 @@ def composition_lipschitz_on_tree(system, word, x0, depth, samples, seed):
     closer than ``DEGENERATE_PAIR_TOL`` being skipped. Raises
     :class:`DegenerateTreeError` when every sampled pair collapses.
     """
-    syms = np.asarray(validate_word(system, word), dtype=np.int64)
+    syms = validate_word(system, word)
     start = geometry.as_vector(x0, dim=system.dim)
     if depth < 0:
         raise ValueError("depth must be nonnegative")

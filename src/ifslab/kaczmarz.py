@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import symbol_blocks
+from .drivers import describe_driver, symbol_blocks
 from .errors import GeometryValidationError
 from .geometry import Hyperplane, as_vector
 from .ifs import IFSystem, HyperplaneProjection, Orbit, _iterate
-from .omega import OmegaEstimate, describe_driver, estimate_omega
+from .omega import OmegaEstimate, estimate_omega
 
 MIN_ROW_NORM = 1e-12
 
@@ -49,12 +49,6 @@ class LinearSystem:
             raise GeometryValidationError("zero row in linear system")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "rhs", b)
-
-    @classmethod
-    def from_rows(cls, rows):
-        """Build from ``[(a_1, b_1), ...]`` pairs."""
-        return cls(np.asarray([a for a, _ in rows], dtype=float),
-                   np.asarray([b for _, b in rows], dtype=float))
 
     @property
     def dim(self):

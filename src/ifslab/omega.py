@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .clouds import PointCloud, greedy_thin
+from .clouds import QUERY_BLOCK, PointCloud, greedy_thin, nearest_distances
+from .drivers import describe_driver
 from .errors import DimensionMismatchError, EmptyCloudError, GeometryValidationError
 from .ifs import hutchinson
 
@@ -49,11 +49,15 @@ class SegmentSet:
         d = self.ends - self.starts
         dd = np.einsum("ij,ij->i", d, d)
         dd = np.where(dd == 0.0, 1.0, dd)
-        # t = clamp(<q - start, d> / |d|^2): (m, k) parameter of the foot point
-        rel = q[:, None, :] - self.starts[None, :, :]
-        t = np.clip(np.einsum("mkj,kj->mk", rel, d) / dd, 0.0, 1.0)
-        foot = self.starts[None, :, :] + t[:, :, None] * d[None, :, :]
-        return np.linalg.norm(q[:, None, :] - foot, axis=2).min(axis=1)
+        out = np.empty(len(q))
+        for start in range(0, len(q), QUERY_BLOCK):
+            blk = q[start:start + QUERY_BLOCK]
+            # t = clamp(<q - start, d> / |d|^2): (m, k) parameter of the foot point
+            rel = blk[:, None, :] - self.starts[None, :, :]
+            t = np.clip(np.einsum("mkj,kj->mk", rel, d) / dd, 0.0, 1.0)
+            foot = self.starts[None, :, :] + t[:, :, None] * d[None, :, :]
+            out[start:start + QUERY_BLOCK] = np.linalg.norm(blk[:, None, :] - foot, axis=2).min(axis=1)
+        return out
 
     def sample_points(self, spacing=1e-3):
         """Even sampling of every segment at the given spacing, endpoints included."""
@@ -96,19 +100,6 @@ class OmegaEstimate:
         }
 
 
-def describe_driver(driver):
-    if driver is None:
-        return None
-    if isinstance(driver, str):
-        return driver
-    d = {"kind": type(driver).__name__}
-    for attr in ("permutation", "seed", "weights", "n_symbols", "symbols", "alphabet_size"):
-        if hasattr(driver, attr):
-            v = getattr(driver, attr)
-            d[attr] = list(v) if isinstance(v, tuple) else v
-    return d
-
-
 def estimate_omega(orbit, burn_in, cluster_eps, driver=None):
     """Greedy clustering of the orbit tail in arrival order.
 
@@ -140,16 +131,13 @@ def _cloud_points(cloud, what="cloud"):
     return pts
 
 
-def directed_hausdorff_distance(source, target, block=1024):
+def directed_hausdorff_distance(source, target):
     """``max over source of min over target`` point distances, brute force."""
     a = _cloud_points(source, "source")
     b = _cloud_points(target, "target")
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(a.shape[1], b.shape[1], "target cloud")
-    worst = 0.0
-    for start in range(0, len(a), block):
-        worst = max(worst, float(cdist(a[start:start + block], b).min(axis=1).max()))
-    return worst
+    return float(nearest_distances(a, b).max())
 
 
 def hausdorff(cloud_a, cloud_b):
@@ -334,7 +322,7 @@ def check_minimality(system, omega_estimate, candidate, tol):
     reps = omega_estimate.representatives.points
     inv = check_invariance(system, cand, tol)
     hypothesis_met = inv.subinvariant
-    min_distance = float(cdist(cand, reps).min())
+    min_distance = float(nearest_distances(cand, reps).min())
     intersects = min_distance <= tol
     containment_excess = directed_hausdorff_distance(reps, cand)
     contains = containment_excess <= tol

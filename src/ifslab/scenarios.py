@@ -235,7 +235,7 @@ class ScenarioResult:
                 "burn_in": self.scenario.burn_in,
                 "cluster_eps": self.scenario.cluster_eps,
                 "x0": [float(c) for c in self.scenario.x0],
-                "driver": omega.describe_driver(self.scenario.driver),
+                "driver": drivers.describe_driver(self.scenario.driver),
             },
             "max_norm": float(np.linalg.norm(self.orbit.points, axis=1).max()),
             "representative_count": self.estimate.representatives.size,
@@ -266,7 +266,7 @@ def _run_check(scenario, check, orbit_result, estimate):
                                          driver=check["driver"])
         rep = omega.compare_omegas(estimate, other_est, check["tol"])
         details = rep.to_dict()
-        details["other_driver"] = omega.describe_driver(check["driver"])
+        details["other_driver"] = drivers.describe_driver(check["driver"])
         return CheckOutcome(kind, rep.passed, details)
     raise ScenarioError(f"unknown check kind {kind!r}")
 

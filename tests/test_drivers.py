@@ -2,19 +2,30 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifslab import (
     Custom,
     Cyclic,
     DisjunctiveEnumeration,
     DriverExhaustedError,
+    Hyperplane,
+    HyperplaneProjection,
+    IFSystem,
     IidRandom,
+    LinearSystem,
     SymbolRangeError,
     check_disjunctive,
     check_repetitive,
+    composition_lipschitz_exact,
+    composition_lipschitz_on_tree,
     enumeration_prefix_length,
     generate,
+    run_orbit,
+    solve,
 )
 
 # Frozen once: i.i.d. audit seeds for the 5000-symbol disjunctivity property.
@@ -181,3 +192,64 @@ def test_iid_prefixes_are_disjunctive_at_m3():
 def test_symbols_validated_against_alphabet():
     with pytest.raises(SymbolRangeError):
         check_disjunctive([1, 4], 1, alphabet_size=3)
+
+
+def check_disjunctive_reference(seq, m, n):
+    # naive audit: the set of window tuples against every word in lex order
+    seen = {tuple(seq[i:i + m]) for i in range(len(seq) - m + 1)}
+    missing = [w for w in itertools.product(range(1, n + 1), repeat=m) if w not in seen]
+    warning = None if len(seq) >= m else (
+        f"sequence of length {len(seq)} is shorter than the window {m}")
+    return n ** m - len(missing), len(missing), tuple(missing[:20]), warning
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.lists(st.integers(0, 40), min_size=1, max_size=30))
+def test_enumeration_in_any_block_sizes_equals_oracle(n, sizes):
+    # up to 1200 symbols: enough to cross several word-length boundaries for
+    # every alphabet (dozens for N=1)
+    stream = DisjunctiveEnumeration(n).stream()
+    got = np.concatenate([stream.take(k) for k in sizes])
+    assert got.dtype == np.int64
+    assert got.tolist() == enumeration_prefix_oracle(n, sum(sizes))
+    assert stream.position == sum(sizes)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_check_disjunctive_equals_set_of_tuples_reference(n, m, data):
+    seq = data.draw(st.lists(st.integers(1, n), max_size=120))
+    report = check_disjunctive(seq, m, alphabet_size=n)
+    assert (report.found, report.missing_count, report.missing, report.warning) == (
+        check_disjunctive_reference(seq, m, n))
+    assert report.total_words == n ** m and report.prefix_length == len(seq)
+
+
+def _raised_symbol(call):
+    with pytest.raises(SymbolRangeError) as info:
+        call()
+    return info.value.symbol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data())
+def test_symbol_range_error_names_first_offender_on_every_path(n, data):
+    good = st.integers(1, n)
+    bad = st.one_of(st.integers(-3, 0), st.integers(n + 1, n + 4))
+    head = data.draw(st.lists(good, max_size=6))
+    tail = data.draw(st.lists(st.one_of(good, bad), max_size=6))
+    seq = head + [data.draw(bad)] + tail
+    first = next(s for s in seq if not 1 <= s <= n)
+    lines = IFSystem(tuple(HyperplaneProjection(Hyperplane([1.0, k], 0.0)) for k in range(n)), 2)
+    rows = LinearSystem([[1.0, k] for k in range(n)], [0.0] * n)
+    calls = [
+        lambda: Custom(seq, alphabet_size=n),
+        lambda: check_disjunctive(seq, 1, alphabet_size=n),
+        lambda: check_repetitive(seq, n),
+        lambda: run_orbit(lines, [1.0, 1.0], seq, len(seq)),
+        lambda: run_orbit(lines, [1.0, 1.0], np.array(seq), len(seq)),
+        lambda: solve(rows, seq, tol=1e-300, max_iter=len(seq), x0=[1.0, 1.0]),
+        lambda: composition_lipschitz_exact(lines, seq),
+        lambda: composition_lipschitz_on_tree(lines, seq, [1.0, 1.0], 2, 4, 0),
+    ]
+    assert [_raised_symbol(call) for call in calls] == [first] * len(calls)

@@ -201,3 +201,30 @@ def test_solve_report_serializes():
     assert payload["driver"]["kind"] == "Cyclic"
     import json
     json.dumps(payload)
+
+
+def test_early_stop_keeps_no_unused_buffer_rows():
+    sys_lin, _ = seeded_well_conditioned_system(5, n=10)
+    report = solve(sys_lin, Cyclic(tuple(range(1, 11))), tol=1e-6, max_iter=100_000)
+    assert report.converged and report.iterations < 100_000
+    assert report.orbit.points.base is None and report.orbit.symbols.base is None
+    orbit = run_orbit(system_to_ifs(sys_lin), np.zeros(10), Cyclic(tuple(range(1, 11))),
+                      report.iterations)
+    assert np.array_equal(report.orbit.points, orbit.points)
+    at_start = solve(PARALLEL_PAIR, Cyclic((1, 2)), tol=2.0, max_iter=1000)
+    assert at_start.iterations == 0 and at_start.orbit.points.base is None
+
+
+def test_sequence_drivers_are_described_as_custom_specs():
+    expected = Custom((1, 2) * 50)
+    for driver in (np.array([1, 2] * 50), [1, 2] * 50, (1, 2) * 50):
+        payload = solve(PARALLEL_PAIR, driver, tol=1e-9, max_iter=100).to_dict()
+        assert payload["driver"] == solve(PARALLEL_PAIR, expected, tol=1e-9,
+                                          max_iter=100).to_dict()["driver"]
+        assert payload["driver"]["kind"] == "Custom"
+        assert payload["omega"]["driver"] == payload["driver"]
+    stream = solve(PARALLEL_PAIR, expected.stream(), tol=1e-9, max_iter=100).to_dict()
+    assert stream["driver"] == {"kind": "_CustomStream"}
+    # symbols past the 100 the run read may lie outside every alphabet
+    unread = solve(PARALLEL_PAIR, [1, 2] * 50 + [0], tol=1e-9, max_iter=100).to_dict()
+    assert unread["driver"] == {"kind": "list"}

@@ -1,7 +1,10 @@
 """Omega estimation, Hausdorff geometry, and the invariance check family."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from ifslab import (
     Cyclic,
@@ -184,6 +187,37 @@ def test_segment_set_distances_are_exact():
     seg = triangle_boundary_segments()
     d = seg.distance_to([[0.5, -1.0], [0.5, 0.1], [2.0, 0.0]])
     assert d == pytest.approx([1.0, 0.1, 1.0], abs=1e-12)
+
+
+def test_blocked_distances_equal_one_shot_arrays():
+    rng = np.random.default_rng(8)
+    for n_query, n_cloud, dim in ((1, 5, 2), (1023, 40, 3), (2500, 300, 2), (3000, 17, 5)):
+        queries = rng.standard_normal((n_query, dim))
+        cloud = PointCloud(rng.standard_normal((n_cloud, dim)))
+        one_shot = cdist(queries, cloud.points).min(axis=1)
+        assert np.array_equal(cloud.distance_to(queries), one_shot)
+        assert directed_hausdorff_distance(queries, cloud) == one_shot.max()
+        segs = SegmentSet(rng.standard_normal((n_cloud, dim)), rng.standard_normal((n_cloud, dim)))
+        d = segs.ends - segs.starts
+        dd = np.einsum("ij,ij->i", d, d)
+        rel = queries[:, None, :] - segs.starts[None, :, :]
+        t = np.clip(np.einsum("mkj,kj->mk", rel, d) / dd, 0.0, 1.0)
+        foot = segs.starts[None, :, :] + t[:, :, None] * d[None, :, :]
+        assert np.array_equal(segs.distance_to(queries),
+                              np.linalg.norm(queries[:, None, :] - foot, axis=2).min(axis=1))
+
+
+def test_cloud_distance_memory_is_bounded_by_query_blocks():
+    rng = np.random.default_rng(9)
+    cloud = PointCloud(rng.standard_normal((2000, 2)))
+    queries = rng.standard_normal((20_000, 2))
+    tracemalloc.start()
+    try:
+        cloud.distance_to(queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_minimality_square():
