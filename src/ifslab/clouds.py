@@ -15,7 +15,7 @@ DEDUP_TOL = 1e-12
 
 # Query points per distance array, which bounds it to QUERY_BLOCK x cloud size;
 # greedy_thin takes its arrival-order blocks of this size too.
-QUERY_BLOCK = 1024
+QUERY_BLOCK = 2048
 
 
 def nearest_distances(queries, points):
