@@ -152,6 +152,14 @@ def build_parser():
                     "verify invariance properties of omega-limit estimates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    driver_opts = argparse.ArgumentParser(add_help=False)
+    driver_opts.add_argument("--alphabet", type=int,
+                             help="alphabet size N (kaczmarz default: row count)")
+    driver_opts.add_argument("--seed", type=int, help="seed for iid drivers")
+    driver_opts.add_argument("--weights", help="comma-separated iid weights")
+    driver_opts.add_argument("--perm", help="comma-separated cyclic permutation of 1..N")
+    driver_opts.add_argument("--symbols", help="comma-separated custom symbols")
+
     p_run = sub.add_parser("run", help="run a scenario config and its checks")
     p_run.add_argument("config", help="scenario config (JSON)")
     p_run.add_argument("--out-dir", default=".", help="directory for emitted files")
@@ -168,15 +176,10 @@ def build_parser():
     p_driver = sub.add_parser("driver", help="generate or audit driving sequences")
     driver_sub = p_driver.add_subparsers(dest="action", required=True)
 
-    p_gen = driver_sub.add_parser("gen", help="emit driver symbols")
+    p_gen = driver_sub.add_parser("gen", help="emit driver symbols", parents=[driver_opts])
     p_gen.add_argument("--kind", required=True,
                        choices=["cyclic", "iid", "disjunctive", "custom"])
     p_gen.add_argument("--n", type=int, required=True, help="number of symbols")
-    p_gen.add_argument("--alphabet", type=int, help="alphabet size N")
-    p_gen.add_argument("--seed", type=int, help="seed for iid drivers")
-    p_gen.add_argument("--weights", help="comma-separated iid weights")
-    p_gen.add_argument("--perm", help="comma-separated cyclic permutation of 1..N")
-    p_gen.add_argument("--symbols", help="comma-separated custom symbols")
     p_gen.add_argument("--out", help="also write one symbol per line to this file")
     p_gen.set_defaults(func=_cmd_driver_gen)
 
@@ -187,17 +190,13 @@ def build_parser():
     p_audit.add_argument("--out", help="write the audit report JSON here")
     p_audit.set_defaults(func=_cmd_driver_audit)
 
-    p_kacz = sub.add_parser("kaczmarz", help="solve a linear system by row projections")
+    p_kacz = sub.add_parser("kaczmarz", help="solve a linear system by row projections",
+                            parents=[driver_opts])
     p_kacz.add_argument("system", help="system CSV: a1,...,ad,b per row")
     p_kacz.add_argument("--driver", dest="kind", default="cyclic",
                         choices=["cyclic", "iid", "disjunctive", "custom"])
     p_kacz.add_argument("--tol", type=float, default=1e-10)
     p_kacz.add_argument("--max-iter", type=int, default=100_000)
-    p_kacz.add_argument("--alphabet", type=int, help="driver alphabet (default: row count)")
-    p_kacz.add_argument("--seed", type=int, help="seed for iid drivers")
-    p_kacz.add_argument("--weights", help="comma-separated iid weights")
-    p_kacz.add_argument("--perm", help="comma-separated cyclic permutation")
-    p_kacz.add_argument("--symbols", help="comma-separated custom symbols")
     p_kacz.add_argument("--x0", help="comma-separated start point (default: origin)")
     p_kacz.add_argument("--out", help="write the solve report JSON here")
     p_kacz.set_defaults(func=_cmd_kaczmarz)

@@ -1,5 +1,5 @@
-"""Finite point clouds and the greedy thinning shared by deduplication and
-omega clustering."""
+"""Finite point clouds, kept as given, and the greedy thinning that the
+Hutchinson operator and omega clustering apply to the clouds they produce."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, EmptyCloudError, GeometryValidationError
 
-# Points closer than this are treated as one point when clouds are built.
+# The Hutchinson operator merges images closer than this into one point.
 DEDUP_TOL = 1e-12
 
 # Query points per distance array, which bounds it to QUERY_BLOCK x cloud size;
@@ -59,19 +59,19 @@ def greedy_thin(points, eps):
 
 @dataclass(frozen=True, eq=False)
 class PointCloud:
-    """A finite set of points, deduplicated to ``DEDUP_TOL`` at construction."""
+    """A nonempty finite set of points, kept as given, coincident ones too."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)  # a copy: the cloud owns its points
         if pts.ndim != 2 or pts.shape[1] == 0:
             raise GeometryValidationError(f"point cloud needs shape (k, d), got {pts.shape}")
         if len(pts) == 0:
             raise EmptyCloudError("point cloud must be nonempty")
         if not np.all(np.isfinite(pts)):
             raise GeometryValidationError("point cloud coordinates must be finite")
-        object.__setattr__(self, "points", greedy_thin(pts, DEDUP_TOL))
+        object.__setattr__(self, "points", pts)
 
     @classmethod
     def of(cls, *points):
@@ -94,3 +94,12 @@ class PointCloud:
 
     def to_list(self):
         return [[float(c) for c in p] for p in self.points]
+
+
+def points_of(cloud, what="cloud"):
+    """The ``(k, d)`` points of a :class:`PointCloud` or of raw points;
+    raises :class:`EmptyCloudError` unless there is at least one."""
+    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
+    if pts.ndim != 2 or len(pts) == 0:
+        raise EmptyCloudError(f"{what} must be a nonempty (k, d) cloud")
+    return pts

@@ -102,7 +102,7 @@ class Custom:
         return self.alphabet_size
 
     def stream(self):
-        return _CustomStream(self)
+        return _CustomStream(self.symbols)
 
 
 #: Driver variants.
@@ -179,15 +179,16 @@ class _EnumerationStream(SymbolStream):
 
 
 class _CustomStream(SymbolStream):
+    """A list, tuple or numpy array of symbols, read by slicing."""
+
     def take_upto(self, n):
-        syms = self.spec.symbols
-        out = np.asarray(syms[self.position:self.position + n], dtype=np.int64)
+        out = np.asarray(self.spec[self.position:self.position + n], dtype=np.int64)
         self.position += len(out)
         return out
 
 
 class _IterableStream(SymbolStream):
-    """A stream over any finite or infinite integer iterable."""
+    """A stream over any other integer iterable, read one element at a time."""
 
     def __init__(self, symbols):
         super().__init__(symbols)
@@ -214,15 +215,17 @@ def symbol_blocks(driver, n, n_symbols, size=None):
     ``1..n_symbols``.
 
     The driver is a spec (read from a fresh stream), a :class:`SymbolStream`
-    (read from where it stands), or any finite or infinite integer iterable,
-    numpy arrays included. Nothing is read before the first block. A driver
-    that ends early raises :class:`DriverExhaustedError` after its last,
-    short block.
+    (read from where it stands), a list, tuple or numpy array (read by
+    slicing), or any other finite or infinite integer iterable. Nothing is
+    read before the first block. A driver that ends early raises
+    :class:`DriverExhaustedError` after its last, short block.
     """
     if isinstance(driver, DriverSpec):
         stream = driver.stream()
     elif isinstance(driver, SymbolStream):
         stream = driver
+    elif isinstance(driver, (list, tuple, np.ndarray)):
+        stream = _CustomStream(driver)
     else:
         stream = _IterableStream(driver)
     size = size or max(n, 1)

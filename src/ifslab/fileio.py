@@ -16,6 +16,10 @@ from .errors import GeometryValidationError
 from .ifs import Orbit
 from .kaczmarz import LinearSystem
 
+# SVG scatter: viewport side in pixels; margin as a fraction of the data span.
+SVG_SIZE = 800
+SVG_MARGIN_FRAC = 0.05
+
 
 def _fmt(value):
     return repr(float(value))
@@ -75,11 +79,11 @@ def write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def render_svg_scatter(path, points, highlights=None, size=800, margin_frac=0.05):
+def render_svg_scatter(path, points, highlights=None):
     """Static 2-d scatter: orbit points in gray, highlight points in red.
 
-    Fixed ``size x size`` viewport, autoscaled with a 5% margin; the vertical
-    axis points up.
+    Fixed ``SVG_SIZE x SVG_SIZE`` viewport, autoscaled with a
+    ``SVG_MARGIN_FRAC`` margin; the vertical axis points up.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -89,19 +93,19 @@ def render_svg_scatter(path, points, highlights=None, size=800, margin_frac=0.05
     lo = every.min(axis=0)
     hiv = every.max(axis=0)
     span = np.maximum(hiv - lo, 1e-12)
-    pad = margin_frac * span.max()
+    pad = SVG_MARGIN_FRAC * span.max()
     lo = lo - pad
-    scale = (size - 1) / (span.max() + 2 * pad)
+    scale = (SVG_SIZE - 1) / (span.max() + 2 * pad)
 
     def to_px(p):
         x = (p[0] - lo[0]) * scale
-        y = size - 1 - (p[1] - lo[1]) * scale
+        y = SVG_SIZE - 1 - (p[1] - lo[1]) * scale
         return f"{x:.2f}", f"{y:.2f}"
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
+        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     for p in pts:
         x, y = to_px(p)

@@ -12,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import drivers, geometry
-from .clouds import PointCloud
-from .errors import (
-    DegenerateTreeError,
-    DimensionMismatchError,
-    EmptyCloudError,
-    GeometryValidationError,
-)
+from . import clouds, drivers, geometry
+from .errors import DegenerateTreeError, DimensionMismatchError, GeometryValidationError
 
 # Affine generators may exceed spectral norm 1 by at most this much, absorbing
 # rounding in user-supplied matrices.
@@ -271,16 +265,15 @@ def run_orbit(system, x0, driver, n):
 def hutchinson(system, cloud):
     """One application of ``S -> union_i f_i(S)`` on a finite cloud.
 
-    Exact duplicates (within the cloud merge tolerance) are merged; no closure
-    is taken.
+    The images, generator by generator, are merged by greedy thinning at
+    ``clouds.DEDUP_TOL``: the only step of the lab that makes points
+    coincide. No closure is taken.
     """
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    if pts.ndim != 2 or len(pts) == 0:
-        raise EmptyCloudError("hutchinson needs a nonempty cloud")
+    pts = clouds.points_of(cloud)
     if pts.shape[1] != system.dim:
         raise DimensionMismatchError(system.dim, pts.shape[1], "cloud")
     images = np.vstack([m.apply(pts) for m in system.maps])
-    return PointCloud(images)
+    return clouds.PointCloud(clouds.greedy_thin(images, clouds.DEDUP_TOL))
 
 
 def validate_word(system, word):

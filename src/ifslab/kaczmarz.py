@@ -49,6 +49,9 @@ class LinearSystem:
             raise GeometryValidationError("zero row in linear system")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "rhs", b)
+        # The rows scaled to unit normals, read by residual and solve.
+        object.__setattr__(self, "_a_unit", a / norms[:, None])
+        object.__setattr__(self, "_b_unit", b / norms)
 
     @property
     def dim(self):
@@ -67,8 +70,7 @@ class LinearSystem:
     def residual(self, x):
         """Row-normalized max violation: ``max_i |a_i . x - b_i| / |a_i|``."""
         x = as_vector(x, dim=self.dim)
-        norms = np.linalg.norm(self.coefficients, axis=1)
-        return float(np.max(np.abs(self.coefficients @ x - self.rhs) / norms))
+        return float(np.max(np.abs(self._a_unit @ x - self._b_unit)))
 
 
 def system_to_ifs(system):
@@ -120,13 +122,11 @@ def solve(system, driver, tol, max_iter, x0=None):
         raise ValueError("need at least one iteration")
     x = np.zeros(system.dim) if x0 is None else as_vector(x0, dim=system.dim)
 
-    norms = np.linalg.norm(system.coefficients, axis=1)
-    a_unit = system.coefficients / norms[:, None]
-    b_unit = system.rhs / norms
+    a_unit, b_unit = system._a_unit, system._b_unit
     res = None
 
     def settled(v):
-        nonlocal res
+        nonlocal res  # the arithmetic of LinearSystem.residual, unvalidated
         res = float(np.max(np.abs(a_unit @ v - b_unit)))
         return res <= tol
 

@@ -228,3 +228,31 @@ def test_sequence_drivers_are_described_as_custom_specs():
     # symbols past the 100 the run read may lie outside every alphabet
     unread = solve(PARALLEL_PAIR, [1, 2] * 50 + [0], tol=1e-9, max_iter=100).to_dict()
     assert unread["driver"] == {"kind": "list"}
+
+
+class _SlicedOnlyArray(np.ndarray):
+    def __iter__(self):
+        raise AssertionError("array drivers are read by slicing")
+
+
+def test_array_drivers_are_read_by_slicing():
+    symbols = np.random.default_rng(5).integers(1, 3, size=500)
+    as_array, as_list = symbols.view(_SlicedOnlyArray), symbols.tolist()
+    pair = system_to_ifs(PARALLEL_PAIR)
+    assert np.array_equal(run_orbit(pair, [0.0, 0.5], as_array, 500).points,
+                          run_orbit(pair, [0.0, 0.5], as_list, 500).points)
+    by_array = solve(PARALLEL_PAIR, as_array, tol=1e-9, max_iter=500)
+    by_list = solve(PARALLEL_PAIR, as_list, tol=1e-9, max_iter=500)
+    assert np.array_equal(by_array.orbit.points, by_list.orbit.points)
+    assert np.array_equal(by_array.omega.representatives.points,
+                          by_list.omega.representatives.points)
+
+
+def test_report_residual_is_the_system_residual_bit_for_bit():
+    for seed in range(5):
+        sys_lin, _ = seeded_well_conditioned_system(seed, n=8)
+        for tol, max_iter in ((1e-6, 100_000), (1e-15, 40)):
+            report = solve(sys_lin, IidRandom.uniform(seed, 8), tol=tol, max_iter=max_iter)
+            assert report.residual == sys_lin.residual(report.final_point)
+    inconsistent = solve(PARALLEL_PAIR, Cyclic((1, 2)), tol=1e-9, max_iter=101)
+    assert inconsistent.residual == PARALLEL_PAIR.residual(inconsistent.final_point)
