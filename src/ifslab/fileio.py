@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clouds import PointCloud
+from .clouds import PointCloud, points_of
 from .errors import GeometryValidationError
 from .ifs import Orbit
 from .kaczmarz import LinearSystem
@@ -54,8 +54,7 @@ def read_orbit_csv(path):
 
 def write_cloud_csv(path, cloud):
     """One point per row, no header."""
-    pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    lines = [",".join(_fmt(c) for c in p) for p in pts]
+    lines = [",".join(_fmt(c) for c in p) for p in points_of(cloud)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -85,10 +84,8 @@ def render_svg_scatter(path, points, highlights=None):
     Fixed ``SVG_SIZE x SVG_SIZE`` viewport, autoscaled with a
     ``SVG_MARGIN_FRAC`` margin; the vertical axis points up.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise GeometryValidationError("SVG scatter requires 2-d points")
-    hi = np.asarray(highlights, dtype=float) if highlights is not None else np.empty((0, 2))
+    pts = points_of(points, 2, "SVG points")
+    hi = points_of(highlights, 2, "SVG highlights") if highlights is not None else np.empty((0, 2))
     every = np.vstack([pts, hi]) if len(hi) else pts
     lo = every.min(axis=0)
     hiv = every.max(axis=0)

@@ -52,6 +52,17 @@ def _as_points(x, dim, what="point"):
     return p
 
 
+def _init_normal(obj, what):
+    """Validate and store ``normal`` and ``offset`` of a hyperplane or
+    halfspace ``obj`` and cache ``_aa = normal . normal``."""
+    n = as_vector(obj.normal, what=f"{what} normal")
+    if float(np.linalg.norm(n)) < MIN_NORMAL_NORM:
+        raise GeometryValidationError(f"{what} normal is numerically zero")
+    object.__setattr__(obj, "normal", n)
+    object.__setattr__(obj, "offset", float(obj.offset))
+    object.__setattr__(obj, "_aa", float(n @ n))
+
+
 def distance(x, y):
     """Euclidean distance between two points of the same dimension."""
     a = as_vector(x)
@@ -67,12 +78,7 @@ class Hyperplane:
     offset: float
 
     def __post_init__(self):
-        n = as_vector(self.normal, what="hyperplane normal")
-        if float(np.linalg.norm(n)) < MIN_NORMAL_NORM:
-            raise GeometryValidationError("hyperplane normal is numerically zero")
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "_aa", float(n @ n))
+        _init_normal(self, "hyperplane")
 
     @property
     def dim(self):
@@ -163,12 +169,7 @@ class Halfspace:
     offset: float
 
     def __post_init__(self):
-        n = as_vector(self.normal, what="halfspace normal")
-        if float(np.linalg.norm(n)) < MIN_NORMAL_NORM:
-            raise GeometryValidationError("halfspace normal is numerically zero")
-        object.__setattr__(self, "normal", n)
-        object.__setattr__(self, "offset", float(self.offset))
-        object.__setattr__(self, "_aa", float(n @ n))
+        _init_normal(self, "halfspace")
 
     @property
     def dim(self):

@@ -178,10 +178,8 @@ class Orbit:
     symbols: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = clouds.points_of(self.points, what="orbit points")
         syms = np.asarray(self.symbols, dtype=np.int64)
-        if pts.ndim != 2 or len(pts) == 0:
-            raise GeometryValidationError(f"orbit points need shape (n+1, d), got {pts.shape}")
         if syms.ndim != 1 or len(syms) != len(pts) - 1:
             raise GeometryValidationError("orbit needs exactly one symbol per step")
         object.__setattr__(self, "points", pts)
@@ -269,9 +267,7 @@ def hutchinson(system, cloud):
     ``clouds.DEDUP_TOL``: the only step of the lab that makes points
     coincide. No closure is taken.
     """
-    pts = clouds.points_of(cloud)
-    if pts.shape[1] != system.dim:
-        raise DimensionMismatchError(system.dim, pts.shape[1], "cloud")
+    pts = clouds.points_of(cloud, system.dim)
     images = np.vstack([m.apply(pts) for m in system.maps])
     return clouds.PointCloud(clouds.greedy_thin(images, clouds.DEDUP_TOL))
 

@@ -69,7 +69,10 @@ class LinearSystem:
 
     def residual(self, x):
         """Row-normalized max violation: ``max_i |a_i . x - b_i| / |a_i|``."""
-        x = as_vector(x, dim=self.dim)
+        return self._residual(as_vector(x, dim=self.dim))
+
+    def _residual(self, x):
+        """:meth:`residual` of a ``(d,)`` float64 point, unvalidated."""
         return float(np.max(np.abs(self._a_unit @ x - self._b_unit)))
 
 
@@ -122,16 +125,11 @@ def solve(system, driver, tol, max_iter, x0=None):
         raise ValueError("need at least one iteration")
     x = np.zeros(system.dim) if x0 is None else as_vector(x0, dim=system.dim)
 
-    a_unit, b_unit = system._a_unit, system._b_unit
-    res = None
-
-    def settled(v):
-        nonlocal res  # the arithmetic of LinearSystem.residual, unvalidated
-        res = float(np.max(np.abs(a_unit @ v - b_unit)))
-        return res <= tol
-
     blocks = symbol_blocks(driver, max_iter, system.n_rows, SYMBOL_BLOCK)
-    orbit = _iterate(system_to_ifs(system), x, blocks, max_iter, stop=settled)
+    orbit = _iterate(system_to_ifs(system), x, blocks, max_iter,
+                     stop=lambda v: system._residual(v) <= tol)
+    final_point = orbit.points[-1].copy()
+    res = system._residual(final_point)
     converged = res <= tol
     max_norm = float(np.linalg.norm(orbit.points, axis=1).max())
     omega = None
@@ -141,7 +139,7 @@ def solve(system, driver, tol, max_iter, x0=None):
         omega = estimate_omega(orbit, burn_in=burn_in,
                                cluster_eps=max(tol, 1e-9), driver=driver)
     return SolveReport(
-        final_point=orbit.points[-1].copy(),
+        final_point=final_point,
         residual=res,
         iterations=orbit.n_steps,
         converged=converged,

@@ -32,12 +32,10 @@ class SegmentSet:
     ends: np.ndarray
 
     def __post_init__(self):
-        a = np.atleast_2d(np.asarray(self.starts, dtype=float))
-        b = np.atleast_2d(np.asarray(self.ends, dtype=float))
-        if a.shape != b.shape or a.ndim != 2 or len(a) == 0:
+        a = points_of(np.atleast_2d(self.starts), what="segment starts")
+        b = points_of(np.atleast_2d(self.ends), a.shape[1], "segment ends")
+        if a.shape != b.shape:
             raise GeometryValidationError("segment starts/ends must be matching (k, d) arrays")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise GeometryValidationError("segment endpoints must be finite")
         object.__setattr__(self, "starts", a)
         object.__setattr__(self, "ends", b)
 
@@ -47,9 +45,7 @@ class SegmentSet:
 
     def distance_to(self, x):
         """Distance from each query point to the nearest segment."""
-        q = np.atleast_2d(np.asarray(x, dtype=float))
-        if q.shape[1] != self.dim:
-            raise DimensionMismatchError(self.dim, q.shape[1], "query points")
+        q = points_of(np.atleast_2d(x), self.dim, "query points")
         d = self.ends - self.starts
         dd = np.einsum("ij,ij->i", d, d)
         dd = np.where(dd == 0.0, 1.0, dd)
@@ -132,10 +128,8 @@ def estimate_omega(orbit, burn_in, cluster_eps, driver=None):
 
 def directed_hausdorff_distance(source, target):
     """``max over source of min over target`` point distances, brute force."""
-    a = points_of(source, "source")
-    b = points_of(target, "target")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(a.shape[1], b.shape[1], "target cloud")
+    a = points_of(source, what="source")
+    b = points_of(target, a.shape[1], "target")
     return float(nearest_distances(a, b).max())
 
 
@@ -241,7 +235,8 @@ def check_monotone_distance(orbit, reference, system=None, base_slack=1e-9):
     of a SegmentSet sampled at ``SAMPLE_SPACING``, measured against ``C``
     itself: a subinvariant continuum scores ~0.
     """
-    ref = reference if isinstance(reference, (PointCloud, SegmentSet)) else PointCloud(reference)
+    ref = reference if isinstance(reference, (PointCloud, SegmentSet)) \
+        else PointCloud(points_of(reference, orbit.dim, "reference"))
     dists = ref.distance_to(orbit.points)
     d0 = float(dists[0])
     slack = float(base_slack) * (1.0 + d0)
@@ -300,7 +295,7 @@ class MinimalityReport:
 def check_minimality(system, omega_estimate, candidate, tol):
     """If the candidate cloud is subinvariant and touches the omega estimate,
     every omega representative must lie within ``tol`` of the candidate."""
-    cand = points_of(candidate, "candidate")
+    cand = points_of(candidate, omega_estimate.dim, "candidate")
     reps = omega_estimate.representatives.points
     inv = check_invariance(system, cand, tol)
     hypothesis_met = inv.subinvariant

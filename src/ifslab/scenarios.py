@@ -108,18 +108,22 @@ def driver_from_dict(d, n_maps, where):
 def reference_from_dict(d, where):
     """Build ``(cloud, exact_or_none)`` from a reference description."""
     kind = _get(d, "kind", where, required=True)
-    if kind == "points":
-        pts = np.asarray(_get(d, "points", where, required=True), dtype=float)
-        return PointCloud(pts), None
-    if kind == "square_corners":
-        return PointCloud(np.asarray(SQUARE_CORNERS)), None
-    if kind == "triangle_boundary":
-        vertices = np.asarray(d.get("vertices", TRIANGLE_VERTICES), dtype=float)
-        _require(vertices.shape == (3, 2), where, "triangle_boundary needs three 2-d vertices")
-        spacing = float(d.get("spacing", 5e-3))
-        _require(spacing > 0, where, "spacing must be positive")
-        segments = omega.SegmentSet(vertices, np.roll(vertices, -1, axis=0))
-        return PointCloud(segments.sample_points(spacing)), segments
+    try:
+        if kind == "points":
+            return PointCloud(_get(d, "points", where, required=True)), None
+        if kind == "square_corners":
+            return PointCloud(np.asarray(SQUARE_CORNERS)), None
+        if kind == "triangle_boundary":
+            vertices = np.asarray(d.get("vertices", TRIANGLE_VERTICES), dtype=float)
+            _require(vertices.shape == (3, 2), where, "triangle_boundary needs three 2-d vertices")
+            spacing = float(d.get("spacing", 5e-3))
+            _require(spacing > 0, where, "spacing must be positive")
+            segments = omega.SegmentSet(vertices, np.roll(vertices, -1, axis=0))
+            return PointCloud(segments.sample_points(spacing)), segments
+    except ScenarioError:
+        raise
+    except (IfsLabError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown reference kind {kind!r}")
 
 

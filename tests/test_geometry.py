@@ -69,6 +69,16 @@ def test_degenerate_normal_rejected_at_construction():
         Halfspace([0.0, 0.0], 1.0)
 
 
+def test_hyperplane_and_halfspace_share_normal_validation():
+    for cls, word in ((Hyperplane, "hyperplane"), (Halfspace, "halfspace")):
+        with pytest.raises(GeometryValidationError, match=f"^{word} normal is numerically zero$"):
+            cls([0.0, 0.0], 1.0)
+        with pytest.raises(GeometryValidationError, match=f"^{word} normal: "):
+            cls([0.0, np.nan], 1.0)
+        body = cls([3, 4], 2)
+        assert body._aa == 25.0 and body.offset == 2.0 and body.normal.dtype == np.float64
+
+
 def test_project_subspace_single_point():
     s = AffineSubspace.single_point([2.0, -1.0])
     assert np.allclose(project_affine_subspace([8.0, 8.0], s), [2, -1])

@@ -80,6 +80,16 @@ def test_scenario_validation_errors(breakage, fragment):
     assert fragment.lower() in str(err.value).lower()
 
 
+@pytest.mark.parametrize("reference", [
+    {"kind": "points", "points": []},
+    {"kind": "points", "points": [[0.0, float("nan")]]},
+    {"kind": "triangle_boundary", "vertices": [[0, 0], [1, 0], [0, float("inf")]]},
+])
+def test_reference_set_errors_name_the_config_key(reference):
+    with pytest.raises(ScenarioError, match=r"^config\.reference_set: "):
+        scenario_from_dict(minimal_config(reference_set=reference))
+
+
 def test_presets_parse_and_small_ones_pass():
     for name in PRESET_NAMES:
         scenario_from_dict(preset_config(name))  # self-validating

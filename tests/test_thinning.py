@@ -2,6 +2,8 @@
 Hutchinson operator (the one step that merges points), the omega clustering,
 and the monotone-distance hypothesis, each against a naive reference."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -67,6 +69,19 @@ def systems_2d(draw):
 def test_greedy_thin_equals_one_point_at_a_time_scan(points, eps):
     # up to 5000 points: more than one 2048-point block
     assert np.array_equal(greedy_thin(points, eps), naive_thin(points, eps))
+
+
+def test_greedy_thin_memory_is_bounded_by_blocks():
+    # every point kept: each block is measured against up to 8000 kept points
+    points = np.random.default_rng(9).standard_normal((10_000, 2))
+    tracemalloc.start()
+    try:
+        kept = greedy_thin(points, DEDUP_TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(kept, points)
+    assert peak < 64 * 2**20
 
 
 @settings(max_examples=60, deadline=None)
