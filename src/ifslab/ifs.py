@@ -217,24 +217,43 @@ def _iterate(system, x0, blocks, n, stop=None):
     """The orbit loop: step from ``x0`` through at most ``n`` symbols, given
     as int64 blocks already checked to lie in ``1..n_maps``.
 
-    With a ``stop`` predicate, the orbit ends at the first point, ``x0``
-    included, for which it holds. Steps call the generators' kernels without
-    validation; callers validate ``x0`` and the symbols.
+    ``stop``, when given, is a block predicate: it takes a ``(k, d)`` block of
+    orbit points and returns the index of the first point at which the orbit
+    ends, or ``None``. It sees ``x0`` first, as a ``(1, d)`` block, and then
+    the new points of each symbol block once all of them are stepped; the
+    steps after the stopping point are dropped. It must keep no reference to
+    the block, a view of buffers that later grow in place.
+
+    Without ``stop`` the buffers hold all ``n`` steps from the start; with it
+    they grow block by block, so memory follows the steps run. Steps call the
+    generators' kernels without validation; callers validate ``x0`` and the
+    symbols.
     """
     kernels = [m.kernel for m in system.maps]
-    pts = np.empty((n + 1, system.dim))
-    syms = np.empty(n, dtype=np.int64)
+    size = n if stop is None else 0
+    pts = np.empty((size + 1, system.dim))
+    syms = np.empty(size, dtype=np.int64)
     pts[0] = x = x0
+    if stop is not None and stop(pts[:1]) is not None:
+        return _used(pts, syms, 0)
     k = 0
-    if stop is None or not stop(x0):
-        for block in blocks:
-            syms[k:k + len(block)] = block
-            for step in [kernels[i] for i in (block - 1).tolist()]:
-                x = step(x)
-                k += 1
-                pts[k] = x
-                if stop is not None and stop(x):
-                    return _used(pts, syms, k)
+    for block in blocks:
+        start, end = k + 1, k + len(block)
+        if end > size:
+            # At least double, up to n. No view of the buffers is alive here,
+            # so they grow in place.
+            size = min(n, max(end, 2 * size))
+            pts.resize((size + 1, system.dim), refcheck=False)
+            syms.resize(size, refcheck=False)
+        syms[k:end] = block
+        for step in [kernels[i] for i in (block - 1).tolist()]:
+            x = step(x)
+            k += 1
+            pts[k] = x
+        if stop is not None:
+            first = stop(pts[start:end + 1])
+            if first is not None:
+                return _used(pts, syms, start + first)
     return _used(pts, syms, k)
 
 

@@ -27,6 +27,15 @@ PARALLEL_ANGLE_TOL = 1e-10
 # Symbols drawn from the driver at a time by solve.
 SYMBOL_BLOCK = 4096
 
+# Steps solve runs between two stop tests; each test screens the block's new
+# points with one matrix product.
+STOP_BLOCK = 256
+
+# The screen passes every point whose residual may be within tol:
+# SCREEN_SLACK * gamma_{d+2} * (|p| + max |b_i|/|a_i|) bounds twice over how
+# far the product's rounding can move a residual.
+SCREEN_SLACK = 4.0
+
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
@@ -75,6 +84,26 @@ class LinearSystem:
         """:meth:`residual` of a ``(d,)`` float64 point, unvalidated."""
         return float(np.max(np.abs(self._a_unit @ x - self._b_unit)))
 
+    def _first_within(self, points, tol):
+        """Index of the first of the ``(k, d)`` points whose :meth:`_residual`
+        is at most ``tol``, or ``None``.
+
+        One matrix product screens all the points. Its residuals differ from
+        :meth:`_residual`'s by at most ``2 gamma_{d+1} (|p| + max_i |b_i| /
+        |a_i|)``, with ``gamma_n = n u / (1 - n u)`` and unit roundoff ``u``
+        (the dot-product error bound, Higham 2002 section 3.1). So the screen
+        drops no point within ``tol``, and :meth:`_residual` decides on the
+        points it keeps, in order.
+        """
+        screen = np.abs(points @ self._a_unit.T - self._b_unit).max(axis=1)
+        nu = (self.dim + 2) * np.finfo(float).eps / 2
+        margin = SCREEN_SLACK * nu / (1.0 - nu) * (
+            np.linalg.norm(points, axis=1) + np.abs(self._b_unit).max())
+        for j in np.flatnonzero(screen <= tol + margin).tolist():
+            if self._residual(points[j]) <= tol:
+                return j
+        return None
+
 
 def system_to_ifs(system):
     """One hyperplane projection per row, row order preserved."""
@@ -115,9 +144,14 @@ def solve(system, driver, tol, max_iter, x0=None):
     residual drops to ``tol`` or ``max_iter`` steps have run.
 
     The driver is a spec, a stream, or any integer sequence; its symbols are
-    drawn in blocks of ``SYMBOL_BLOCK`` as the run goes. A run stopped at
-    ``max_iter`` gets an omega estimate of the final 20% of its orbit with
-    ``cluster_eps = max(tol, 1e-9)``.
+    drawn in blocks of ``SYMBOL_BLOCK`` as the run goes. The stop test runs
+    on ``x0`` and then once per ``STOP_BLOCK`` steps, on all of the block's
+    points (see :meth:`LinearSystem._first_within`); the orbit ends at the
+    first point within ``tol``. So the stop, the orbit and the report are
+    those of a test after every step. The orbit buffer grows with the steps
+    run, not with ``max_iter``. A run stopped at ``max_iter`` gets an omega
+    estimate of the final 20% of its orbit with ``cluster_eps = max(tol,
+    1e-9)``.
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
@@ -125,9 +159,11 @@ def solve(system, driver, tol, max_iter, x0=None):
         raise ValueError("need at least one iteration")
     x = np.zeros(system.dim) if x0 is None else as_vector(x0, dim=system.dim)
 
-    blocks = symbol_blocks(driver, max_iter, system.n_rows, SYMBOL_BLOCK)
+    blocks = (block[i:i + STOP_BLOCK]
+              for block in symbol_blocks(driver, max_iter, system.n_rows, SYMBOL_BLOCK)
+              for i in range(0, len(block), STOP_BLOCK))
     orbit = _iterate(system_to_ifs(system), x, blocks, max_iter,
-                     stop=lambda v: system._residual(v) <= tol)
+                     stop=lambda pts: system._first_within(pts, tol))
     final_point = orbit.points[-1].copy()
     res = system._residual(final_point)
     converged = res <= tol

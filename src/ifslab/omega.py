@@ -236,7 +236,9 @@ def check_monotone_distance(orbit, reference, system=None, base_slack=1e-9):
     itself: a subinvariant continuum scores ~0.
     """
     ref = reference if isinstance(reference, (PointCloud, SegmentSet)) \
-        else PointCloud(points_of(reference, orbit.dim, "reference"))
+        else PointCloud(points_of(reference, what="reference"))
+    if ref.dim != orbit.dim:
+        raise DimensionMismatchError(orbit.dim, ref.dim, "reference")
     dists = ref.distance_to(orbit.points)
     d0 = float(dists[0])
     slack = float(base_slack) * (1.0 + d0)

@@ -3,6 +3,8 @@ idempotence / nonexpansiveness / nearest-point properties."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifslab import (
     AffineSubspace,
@@ -126,8 +128,10 @@ def test_distance_examples():
     assert distance([1, 2, 3], [1, 2, 3.5]) == 0.5
 
 
-def _random_projection(rng, dim):
-    kind = rng.integers(0, 5)
+def _random_projection(rng, dim, kind=None):
+    """A projection of one of five kinds (hyperplane, affine subspace, ball,
+    box, halfspace), random unless ``kind`` is given, and its target."""
+    kind = rng.integers(0, 5) if kind is None else kind
     if kind == 0:
         h = Hyperplane(rng.standard_normal(dim), rng.standard_normal())
         return lambda x: project_hyperplane(x, h), h
@@ -156,6 +160,20 @@ def test_idempotence_and_nonexpansiveness_battery():
         px, py = proj(x), proj(y)
         assert np.linalg.norm(proj(px) - px) <= 1e-10 * (1.0 + np.linalg.norm(x))
         assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-10
+
+
+def _points(dim):
+    return st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 5), st.integers(0, 4), st.integers(0, 2**32 - 1), st.data())
+def test_idempotence_and_nonexpansiveness_property(dim, kind, seed, data):
+    proj, _ = _random_projection(np.random.default_rng(seed), dim, kind)
+    x, y = data.draw(_points(dim)), data.draw(_points(dim))
+    px, py = proj(x), proj(y)
+    assert np.linalg.norm(proj(px) - px) <= 1e-10 * (1.0 + np.linalg.norm(x))
+    assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-10
 
 
 def _sample_from_target(rng, target, n):

@@ -1,8 +1,12 @@
 """Kaczmarz iteration: consistent convergence, inconsistent omega structure,
-hyperplane gaps, boundedness."""
+hyperplane gaps, boundedness, and the block stop test against a per-step one."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ifslab import (
     Custom,
@@ -18,6 +22,8 @@ from ifslab import (
     solve,
     system_to_ifs,
 )
+from ifslab.ifs import symbols_from
+from ifslab.kaczmarz import STOP_BLOCK
 
 PARALLEL_PAIR = LinearSystem([[0, 1], [0, 1]], [0, 1])  # y=0 and y=1
 
@@ -256,3 +262,93 @@ def test_report_residual_is_the_system_residual_bit_for_bit():
             assert report.residual == sys_lin.residual(report.final_point)
     inconsistent = solve(PARALLEL_PAIR, Cyclic((1, 2)), tol=1e-9, max_iter=101)
     assert inconsistent.residual == PARALLEL_PAIR.residual(inconsistent.final_point)
+
+
+def per_step_solve(system, driver, tol, max_iter, x0):
+    """The orbit points of the stop test after every step, the oracle of the
+    block screen: a kernel step, then ``_residual(x) <= tol``."""
+    kernels = [m.kernel for m in system_to_ifs(system).maps]
+    x = np.asarray(x0, dtype=float)
+    points = [x]
+    if system._residual(x) > tol:
+        for s in symbols_from(driver, max_iter, system.n_rows).tolist():
+            x = kernels[s - 1](x)
+            points.append(x)
+            if system._residual(x) <= tol:
+                break
+    return np.array(points)
+
+
+@st.composite
+def systems_and_drivers(draw):
+    """A random consistent or inconsistent system, a start point, and a
+    cyclic, i.i.d. or array driver."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 10))
+    a = rng.standard_normal((m, d))
+    b = a @ rng.standard_normal(d) if draw(st.booleans()) else rng.standard_normal(m)
+    system = LinearSystem(a, b)
+    x0 = rng.standard_normal(d) * draw(st.sampled_from([0.0, 1.0, 100.0]))
+    max_iter = draw(st.integers(1, 3 * STOP_BLOCK + 10))
+    kind = draw(st.sampled_from(["cyclic", "iid", "array"]))
+    if kind == "cyclic":
+        driver = Cyclic(tuple(int(i) for i in rng.permutation(m) + 1))
+    elif kind == "iid":
+        driver = IidRandom.uniform(int(rng.integers(0, 2**31)), m)
+    else:
+        driver = rng.integers(1, m + 1, size=max_iter)
+    return system, driver, x0, max_iter
+
+
+# Stops on x0 and on the first and last steps of the first sub-blocks.
+BLOCK_EDGES = (0, 1, STOP_BLOCK, STOP_BLOCK + 1, 2 * STOP_BLOCK, 2 * STOP_BLOCK + 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(systems_and_drivers(), st.one_of(st.integers(0, 3 * STOP_BLOCK + 10),
+                                         st.sampled_from(BLOCK_EDGES)))
+def test_block_stop_equals_the_per_step_stop(case, k):
+    system, driver, x0, max_iter = case
+    full = per_step_solve(system, driver, 0.0, max_iter, x0)
+    # The tolerance is attained with equality at point k.
+    tol = system._residual(full[min(k, len(full) - 1)])
+    assume(tol > 0.0)
+    expected = per_step_solve(system, driver, tol, max_iter, x0)
+    report = solve(system, driver, tol=tol, max_iter=max_iter, x0=x0)
+    assert report.iterations == len(expected) - 1
+    assert np.array_equal(report.orbit.points, expected)
+    assert report.converged == (system._residual(expected[-1]) <= tol)
+
+
+@pytest.mark.parametrize("k", BLOCK_EDGES)
+def test_stop_on_a_sub_block_edge(k):
+    # Projections onto x = 1 fix the start; the first projection onto y = 2,
+    # at step k, solves the system.
+    system = LinearSystem([[1, 0], [0, 1], [1, 1]], [1, 2, 3])
+    x0 = [1.0, 2.0] if k == 0 else [1.0, -7.0]
+    symbols = [1] * max(k - 1, 0) + [2] + [3, 1, 2] * 10
+    expected = per_step_solve(system, symbols, 1e-12, len(symbols), x0)
+    assert len(expected) == k + 1
+    # A custom driver that runs out inside the sub-block of the stop.
+    for driver, max_iter in ((np.array(symbols), len(symbols)),
+                             (Custom(tuple(symbols[:k + 3])), 10_000)):
+        report = solve(system, driver, tol=1e-12, max_iter=max_iter, x0=x0)
+        assert report.converged and report.iterations == k
+        assert np.array_equal(report.orbit.points, expected)
+
+
+def test_orbit_buffer_grows_with_the_steps_run():
+    sys_lin, _ = seeded_well_conditioned_system(1, n=20)
+    max_iter = 10**6
+    tracemalloc.start()
+    try:
+        report = solve(sys_lin, IidRandom.uniform(3, 20), tol=1e-6, max_iter=max_iter)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.iterations < 5000
+    # Points and symbols of the steps run, doubled by the buffer growth and
+    # again by a reallocation, plus 1 MB for everything else.
+    bound = 4 * (report.iterations + STOP_BLOCK + 1) * (sys_lin.dim + 1) * 8 + 2**20
+    assert peak <= bound < (max_iter + 1) * sys_lin.dim * 8 // 50

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from ifslab import (
@@ -127,6 +129,37 @@ def test_hausdorff_metric_axioms_on_random_triples():
         assert hab == hba
         assert hausdorff(a, a) == 0.0
         assert hab <= hausdorff(a, c) + hausdorff(c, b) + 1e-9
+
+
+@st.composite
+def cloud_triples(draw):
+    """Three clouds in one dimension, of 1 to 12 Gaussian points each, at a
+    common scale."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    return [rng.standard_normal((draw(st.integers(1, 12)), dim)) * scale for _ in range(3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud_triples())
+def test_hausdorff_is_symmetric_and_satisfies_the_triangle_inequality(clouds):
+    a, b, c = clouds
+    hab, hac, hcb = hausdorff(a, b), hausdorff(a, c), hausdorff(c, b)
+    assert hab == hausdorff(b, a)
+    assert hab <= hac + hcb + 1e-12 * (hac + hcb)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cloud_triples(), st.integers(0, 2**32 - 1), st.integers(0, 12))
+def test_hausdorff_is_zero_between_equal_sets(clouds, seed, repeats):
+    a = clouds[0]
+    rng = np.random.default_rng(seed)
+    # The same set: its points permuted, some of them repeated.
+    same = np.vstack([a[rng.permutation(len(a))], a[rng.integers(0, len(a), size=repeats)]])
+    assert hausdorff(a, same) == 0.0
+    assert hausdorff(same, a) == 0.0
+    assert hausdorff(a, a) == 0.0
 
 
 def test_invariance_square_corners():

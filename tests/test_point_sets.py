@@ -85,6 +85,11 @@ def test_greedy_thin_raises_on_nan_instead_of_dropping_later_points():
         greedy_thin([[np.nan, 0.0], [0.0, 0.0], [5.0, 5.0]], 0.1)
 
 
-def test_monotone_check_names_a_raw_reference_of_the_wrong_dimension():
+@pytest.mark.parametrize("reference", [
+    np.zeros((2, 3)),
+    PointCloud(np.zeros((2, 3))),
+    SegmentSet(np.zeros((1, 3)), np.ones((1, 3))),
+], ids=["raw", "PointCloud", "SegmentSet"])
+def test_monotone_check_names_a_reference_of_the_wrong_dimension(reference):
     with pytest.raises(DimensionMismatchError, match="^reference: expected dimension 2, got 3$"):
-        check_monotone_distance(ORBIT, np.zeros((2, 3)))
+        check_monotone_distance(ORBIT, reference)
