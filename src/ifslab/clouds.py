@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import DimensionMismatchError, EmptyCloudError, GeometryValidationError
@@ -17,6 +18,12 @@ DEDUP_TOL = 1e-12
 # QUERY_BLOCK x QUERY_BLOCK; greedy_thin takes its arrival-order blocks of this
 # size too.
 QUERY_BLOCK = 2048
+
+# greedy_thin's conflict graph: candidate pairs come from a k-d tree queried at
+# eps * (1 + CANDIDATE_SLACK), far above the tree's rounding, and its edges are
+# counted EDGE_COUNT_BLOCK query points at a time.
+CANDIDATE_SLACK = 1e-8
+EDGE_COUNT_BLOCK = 128
 
 
 def nearest_distances(queries, points):
@@ -34,12 +41,21 @@ def nearest_distances(queries, points):
 
 def greedy_thin(points, eps):
     """Arrival-order greedy thinning: keep a point iff it lies strictly farther
-    than ``eps`` from every point kept so far.
+    than ``eps`` from every point kept so far; kept points come back in
+    arrival order.
 
-    Equivalent to the naive one-point-at-a-time scan but vectorized per block;
-    kept points come back in arrival order.
+    Equivalent to the naive one-point-at-a-time scan, block by block: each
+    QUERY_BLOCK of points is first filtered against the points kept from
+    earlier blocks, and its survivors (points farther than ``eps`` from all
+    of those) are then decided by one of two strategies with one output. The
+    scan keeps the first survivor and drops the block's points within ``eps``
+    of it, one kept point per pass. Once the block's kept points outnumber
+    the points they dropped, its remaining survivors go to their conflict
+    graph instead (see :func:`_conflict_graph_keep`), unless that graph has
+    more edges than vertices, in which case the scan goes on.
     """
-    pts = points_of(points)
+    # one memory layout, so that the scan and the graph reduce row norms alike
+    pts = np.ascontiguousarray(points_of(points))
     kept = []
     for start in range(0, len(pts), QUERY_BLOCK):
         blk = pts[start:start + QUERY_BLOCK]
@@ -47,15 +63,64 @@ def greedy_thin(points, eps):
             dmin = nearest_distances(blk, np.asarray(kept))
         else:
             dmin = np.full(len(blk), np.inf)
-        while True:
-            idx = np.nonzero(dmin > eps)[0]
-            if idx.size == 0:
-                break
+        idx = np.nonzero(dmin > eps)[0]
+        survivors, n_kept, graph_tried = idx.size, 0, False
+        while idx.size:
             i = int(idx[0])
             rep = blk[i]
             kept.append(rep)
             dmin[i:] = np.minimum(dmin[i:], np.linalg.norm(blk[i:] - rep, axis=1))
+            idx = np.nonzero(dmin > eps)[0]
+            n_kept += 1
+            # kept > dropped, where dropped = survivors - n_kept - idx.size
+            if idx.size and not graph_tried and 2 * n_kept > survivors - idx.size:
+                graph_tried = True
+                keep = _conflict_graph_keep(blk[idx], eps)
+                if keep is not None:
+                    kept.extend(blk[idx[keep]])
+                    break
     return np.asarray(kept)
+
+
+def _conflict_graph_keep(points, eps):
+    """The mask of ``points`` that arrival-order greedy thinning keeps,
+    decided on their conflict graph, or ``None`` when that graph has more
+    edges than vertices.
+
+    A k-d tree finds candidate pairs within ``eps * (1 + CANDIDATE_SLACK)``,
+    a superset of the pairs the scan's arithmetic puts within ``eps``: the
+    tree's own sums of squared coordinate differences are within a relative
+    ``d`` ulps of the scan's. Each candidate pair is then decided as the scan
+    decides it, by ``np.linalg.norm`` of the later row minus the earlier one,
+    and one pass in arrival order keeps a point iff none of its earlier
+    close neighbours was kept. Edges are counted before any is listed, in
+    queries of EDGE_COUNT_BLOCK points that stop once the count passes the
+    number of vertices, so a dense block costs little time and no pair list.
+    """
+    n = len(points)
+    tree = cKDTree(points)
+    radius = eps * (1 + CANDIDATE_SLACK)
+    degree = np.empty(n, dtype=np.intp)
+    for start in range(0, n, EDGE_COUNT_BLOCK):
+        stop = start + EDGE_COUNT_BLOCK
+        # each point finds itself too, and each edge is found from both ends
+        degree[start:stop] = tree.query_ball_point(points[start:stop], radius,
+                                                   return_length=True) - 1
+        if degree[:stop].sum() > 2 * n:
+            return None
+    near = np.nonzero(degree)[0]
+    lists = tree.query_ball_point(points[near], radius)
+    first = np.repeat(near, [len(lst) for lst in lists])
+    second = np.array([j for lst in lists for j in lst], dtype=np.intp)
+    later = first < second
+    first, second = first[later], second[later]
+    close = np.linalg.norm(points[second] - points[first], axis=1) <= eps
+    order = np.argsort(second[close], kind="stable")
+    keep = np.ones(n, dtype=bool)
+    for a, b in zip(first[close][order].tolist(), second[close][order].tolist()):
+        if keep[a]:
+            keep[b] = False
+    return keep
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .clouds import PointCloud, points_of
-from .errors import GeometryValidationError
+from .errors import EmptyCloudError, GeometryValidationError
 from .ifs import Orbit
 from .kaczmarz import LinearSystem
 
@@ -37,19 +37,68 @@ def write_orbit_csv(path, orbit):
 
 
 def read_orbit_csv(path):
-    text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith("n,symbol"):
+    text = Path(path).read_text()
+    lines = text.strip().splitlines()
+    if not lines or not lines[0].startswith("n,symbol"):
         raise GeometryValidationError(f"{path}: not an orbit CSV (missing header)")
     points = []
     symbols = []
-    for line in text[1:]:
-        cells = line.split(",")
-        if len(cells) < 3:
-            raise GeometryValidationError(f"{path}: malformed orbit row: {line!r}")
-        if cells[1]:
-            symbols.append(int(cells[1]))
-        points.append([float(c) for c in cells[2:]])
-    return Orbit(np.asarray(points), np.asarray(symbols, dtype=np.int64))
+    try:
+        for line in lines[1:]:
+            cells = line.split(",")
+            if len(cells) < 3:
+                raise ValueError
+            if cells[1]:
+                symbols.append(int(cells[1]))
+            points.append([float(c) for c in cells[2:]])
+        points = np.asarray(points)
+    except ValueError:
+        raise _first_bad_line(path, text, _orbit_coordinates, header=True) from None
+    return Orbit(points, np.asarray(symbols, dtype=np.int64))
+
+
+def _orbit_coordinates(cells):
+    """The coordinates of an orbit row, after checking its symbol."""
+    if len(cells) < 3:
+        raise ValueError(f"malformed orbit row: {','.join(cells)!r}")
+    if cells[1]:
+        int(cells[1])
+    return [float(c) for c in cells[2:]]
+
+
+def _float_rows(path, text):
+    """The nonblank lines of a headerless CSV file as a float64 array."""
+    try:
+        return np.asarray([[float(c) for c in line.split(",")]
+                           for line in text.strip().splitlines() if line])
+    except ValueError:
+        raise _first_bad_line(path, text, lambda cells: [float(c) for c in cells]) from None
+
+
+def _first_bad_line(path, text, parse, header=False):
+    """The :class:`GeometryValidationError` for the first data line of a CSV
+    file that ``parse`` (comma-split cells to values) rejects or that has
+    another number of values than the first data line. It names the path
+    and the 1-based line; readers call it only once their own parse failed.
+    """
+    lead = text[:len(text) - len(text.lstrip())]
+    first = len((lead + "x").splitlines())  # the file line the stripped text starts on
+    lines = enumerate(text.strip().splitlines(), first)
+    if header:
+        next(lines)
+    width = None
+    for number, line in lines:
+        if not line and not header:  # headerless readers skip blank lines
+            continue
+        try:
+            values = parse(line.split(","))
+        except ValueError as exc:
+            return GeometryValidationError(f"{path}, line {number}: {exc}")
+        width = len(values) if width is None else width
+        if len(values) != width:
+            return GeometryValidationError(
+                f"{path}, line {number}: {len(values)} values, the first row has {width}")
+    raise AssertionError(f"{path}: no line fails to parse")
 
 
 def write_cloud_csv(path, cloud):
@@ -59,16 +108,19 @@ def write_cloud_csv(path, cloud):
 
 
 def read_cloud_csv(path):
-    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines() if line]
-    return PointCloud(np.asarray([[float(c) for c in row] for row in rows]))
+    """One point per row, no header; an empty file raises
+    :class:`EmptyCloudError`."""
+    points = _float_rows(path, Path(path).read_text())
+    if len(points) == 0:
+        raise EmptyCloudError(f"{path}: empty cloud file")
+    return PointCloud(points)
 
 
 def read_linear_system_csv(path):
     """Rows ``a1,...,ad,b`` with no header."""
-    rows = [line.split(",") for line in Path(path).read_text().strip().splitlines() if line]
-    if not rows:
+    data = _float_rows(path, Path(path).read_text())
+    if len(data) == 0:
         raise GeometryValidationError(f"{path}: empty system file")
-    data = np.asarray([[float(c) for c in row] for row in rows])
     if data.shape[1] < 2:
         raise GeometryValidationError(f"{path}: rows need at least one coefficient and one rhs")
     return LinearSystem(data[:, :-1], data[:, -1])

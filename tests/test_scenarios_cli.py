@@ -8,6 +8,7 @@ import pytest
 from ifslab import fileio
 from ifslab.cli import main
 from ifslab.drivers import Cyclic, IidRandom
+from ifslab.errors import EmptyCloudError, GeometryValidationError
 from ifslab.scenarios import (
     PRESET_NAMES,
     ScenarioError,
@@ -255,3 +256,55 @@ def test_linear_system_csv_rejects_garbage(tmp_path):
     from ifslab.errors import GeometryValidationError
     with pytest.raises(GeometryValidationError):
         fileio.read_linear_system_csv(bad)
+
+
+def _assert_names(info, path, line):
+    assert str(path) in str(info.value)
+    if line is not None:
+        assert f"line {line}:" in str(info.value)
+
+
+ORBIT_HEAD = "n,symbol,x1,x2\n0,,0.5,0.25\n"
+
+
+@pytest.mark.parametrize("text, line", [
+    (ORBIT_HEAD + "1,2,0.5,abc\n", 3),            # a non-numeric coordinate
+    (ORBIT_HEAD + "1,two,0.5,0.25\n", 3),         # a non-numeric symbol
+    (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,0.5\n", 4),  # a ragged row
+    (ORBIT_HEAD + "1,1,0.5,0.25\n\n2,2,0.5,0.25\n", 4),  # a blank row
+    ("\n\n" + ORBIT_HEAD + "1,1,0.5,\n", 5),      # an empty cell, after blank lines
+], ids=["cell", "symbol", "ragged", "blank", "offset"])
+def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, line):
+    path = tmp_path / "orbit.csv"
+    path.write_text(text)
+    with pytest.raises(GeometryValidationError) as info:
+        fileio.read_orbit_csv(path)
+    _assert_names(info, path, line)
+
+
+@pytest.mark.parametrize("text, error, line", [
+    ("1.0,2.0\n3.0,abc\n", GeometryValidationError, 2),
+    ("1.0,2.0\n3.0\n", GeometryValidationError, 2),
+    ("\n1.0,2.0\n\n3.0,4.0,5.0\n", GeometryValidationError, 4),
+    ("", EmptyCloudError, None),
+    ("\n \n", EmptyCloudError, None),
+], ids=["cell", "ragged", "offset", "empty", "blank"])
+def test_cloud_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
+    path = tmp_path / "cloud.csv"
+    path.write_text(text)
+    with pytest.raises(error) as info:
+        fileio.read_cloud_csv(path)
+    _assert_names(info, path, line)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1.0,0.0,2.0\n0.0,x,1.0\n", 2),
+    ("1.0,0.0,2.0\n0.0,1.0\n", 2),
+    ("1.0,0.0,2.0\n\n\n0.0,1.0,1.0,\n", 4),
+], ids=["cell", "ragged", "offset"])
+def test_linear_system_csv_faults_name_the_file_and_line(tmp_path, text, line):
+    path = tmp_path / "system.csv"
+    path.write_text(text)
+    with pytest.raises(GeometryValidationError) as info:
+        fileio.read_linear_system_csv(path)
+    _assert_names(info, path, line)

@@ -24,7 +24,8 @@ from ifslab import (
     hutchinson,
     run_orbit,
 )
-from ifslab.clouds import DEDUP_TOL
+from ifslab import clouds
+from ifslab.clouds import DEDUP_TOL, QUERY_BLOCK, nearest_distances, points_of
 from ifslab.omega import SAMPLE_SPACING
 
 
@@ -36,6 +37,32 @@ def naive_thin(points, eps):
         if not kept or np.all(np.linalg.norm(np.asarray(kept) - p, axis=1) > eps):
             kept.append(p)
     return np.asarray(kept).reshape(-1, points.shape[1])
+
+
+def scan_thin(points, eps):
+    """Arrival-order greedy thinning: keep a point iff it lies strictly farther
+    than ``eps`` from every point kept so far.
+
+    Equivalent to the naive one-point-at-a-time scan but vectorized per block;
+    kept points come back in arrival order.
+    """
+    pts = points_of(points)
+    kept = []
+    for start in range(0, len(pts), QUERY_BLOCK):
+        blk = pts[start:start + QUERY_BLOCK]
+        if kept:
+            dmin = nearest_distances(blk, np.asarray(kept))
+        else:
+            dmin = np.full(len(blk), np.inf)
+        while True:
+            idx = np.nonzero(dmin > eps)[0]
+            if idx.size == 0:
+                break
+            i = int(idx[0])
+            rep = blk[i]
+            kept.append(rep)
+            dmin[i:] = np.minimum(dmin[i:], np.linalg.norm(blk[i:] - rep, axis=1))
+    return np.asarray(kept)
 
 
 @st.composite
@@ -81,6 +108,113 @@ def test_greedy_thin_memory_is_bounded_by_blocks():
     finally:
         tracemalloc.stop()
     assert np.array_equal(kept, points)
+    assert peak < 64 * 2**20
+
+
+def planted_cloud(seed, n, dim, eps, scale=1.0, offset=0.0, planted=0, lattice=False):
+    """``n`` points in arrival order: Gaussian points, scaled and shifted,
+    and ``planted`` near-duplicates ``p + t * eps * u`` of them (``u`` a unit
+    vector, ``t`` one of 1 - 1e-12, 1 and 1 + 1e-12), which sit on the
+    boundary of the ``eps`` test, shuffled among them. With ``lattice`` the
+    points are integer multiples of ``eps`` (a power of two) and ``u`` is a
+    signed axis, so that ``t = 1`` plants exact ties."""
+    rng = np.random.default_rng(seed)
+    if lattice:
+        base = eps * rng.integers(-10**6, 10**6, size=(n - planted, dim)).astype(float)
+        u = np.eye(dim)[rng.integers(0, dim, size=planted)] * rng.choice([-1.0, 1.0], (planted, 1))
+    else:
+        base = offset + scale * rng.standard_normal((n - planted, dim))
+        u = rng.standard_normal((planted, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    t = rng.choice([1 - 1e-12, 1.0, 1 + 1e-12], size=(planted, 1))
+    near = base[rng.integers(0, len(base), size=planted)] + t * eps * u
+    return np.vstack([base, near])[rng.permutation(n)]
+
+
+@st.composite
+def sparse_clouds(draw, max_size=4500):
+    """The sparse, high-dimension regime, where thinning keeps most points
+    and blocks switch to the conflict graph: d from 2 to 64 and up to
+    ``max_size`` points (more than one QUERY_BLOCK), with near-duplicates
+    planted on the ``eps`` boundary. Returns ``(points, eps)``."""
+    n = draw(st.integers(2, max_size))
+    dim = draw(st.integers(2, 64))
+    seed = draw(st.integers(0, 2**32 - 1))
+    planted = draw(st.integers(0, n // 4))
+    if draw(st.booleans()):
+        eps = draw(st.sampled_from([2.0**-30, 0.5]))
+        return planted_cloud(seed, n, dim, eps, planted=planted, lattice=True), eps
+    eps = draw(st.sampled_from([DEDUP_TOL, 1e-9, 1e-6, 1e-3]))
+    points = planted_cloud(seed, n, dim, eps, planted=planted,
+                           scale=draw(st.sampled_from([1e-3, 1.0, 1e3])),
+                           offset=draw(st.sampled_from([0.0, 1.0, 1e3])))
+    return points, eps
+
+
+@settings(max_examples=15, deadline=None)
+@given(sparse_clouds())
+@example((planted_cloud(5, 4500, 50, 1e-9, planted=600), 1e-9))
+@example((planted_cloud(6, 4500, 3, DEDUP_TOL, offset=1e3, planted=1500), DEDUP_TOL))
+@example((planted_cloud(7, 3000, 8, 0.5, planted=1000, lattice=True), 0.5))
+def test_greedy_thin_equals_block_scan_on_sparse_high_dimension_clouds(cloud):
+    points, eps = cloud
+    assert np.array_equal(greedy_thin(points, eps), scan_thin(points, eps))
+
+
+@settings(max_examples=40, deadline=None)
+@given(clouds_with_repeats(max_size=5000), st.sampled_from([DEDUP_TOL, 0.1, 0.5, 1.0]))
+def test_greedy_thin_equals_block_scan_on_clouds_with_repeats(points, eps):
+    assert np.array_equal(greedy_thin(points, eps), scan_thin(points, eps))
+
+
+@pytest.fixture
+def graph_calls(monkeypatch):
+    """Records, for each conflict graph greedy_thin tries, its vertex count
+    and whether it decided the block (False: the edge guard declined it)."""
+    calls = []
+    real = clouds._conflict_graph_keep
+
+    def spy(points, eps):
+        keep = real(points, eps)
+        calls.append((len(points), keep is not None))
+        return keep
+
+    monkeypatch.setattr(clouds, "_conflict_graph_keep", spy)
+    return calls
+
+
+def test_sparse_blocks_are_decided_on_the_conflict_graph(graph_calls):
+    # an i.i.d. inconsistent-Kaczmarz-like tail: 2001 points in d = 50, nearly all kept
+    points = planted_cloud(8, 2001, 50, 1e-9, planted=20)
+    assert np.array_equal(greedy_thin(points, 1e-9), scan_thin(points, 1e-9))
+    assert graph_calls == [(2000, True)]
+
+
+def _isolated_then_coincident():
+    rng = np.random.default_rng(10)
+    return np.vstack([rng.standard_normal((3, 50)), np.tile(rng.standard_normal(50), (2000, 1))])
+
+
+def _isolated_then_dense_2d():
+    rng = np.random.default_rng(11)
+    return np.vstack([[[10.0, 0.0], [0.0, 10.0], [-10.0, 0.0]], rng.uniform(0, 0.05, (2000, 2))])
+
+
+@pytest.mark.parametrize("points, eps", [(_isolated_then_coincident(), 1e-9),
+                                         (_isolated_then_dense_2d(), 0.1)],
+                         ids=["coincident-d50", "dense-2d"])
+def test_dense_blocks_pass_the_switch_and_stay_on_the_scan(graph_calls, points, eps):
+    # after the first isolated point the block passes the switch rule, and its
+    # ~2M close pairs fail the edge guard; listing them would hold them all
+    tracemalloc.start()
+    try:
+        kept = greedy_thin(points, eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(kept, scan_thin(points, eps))
+    assert len(kept) == 4
+    assert graph_calls == [(2002, False)]
     assert peak < 64 * 2**20
 
 
