@@ -21,9 +21,12 @@ QUERY_BLOCK = 2048
 
 # greedy_thin's conflict graph: candidate pairs come from a k-d tree queried at
 # eps * (1 + CANDIDATE_SLACK), far above the tree's rounding, and its edges are
-# counted EDGE_COUNT_BLOCK query points at a time.
+# counted EDGE_COUNT_BLOCK query points at a time. It is built only for at
+# least GRAPH_MIN_POINTS survivors: on fewer the scan costs at most a few ms,
+# and a tree, however small, raised the benchmark's peak RSS by about 0.3 MB.
 CANDIDATE_SLACK = 1e-8
 EDGE_COUNT_BLOCK = 128
+GRAPH_MIN_POINTS = 256
 
 
 def nearest_distances(queries, points):
@@ -50,9 +53,10 @@ def greedy_thin(points, eps):
     of those) are then decided by one of two strategies with one output. The
     scan keeps the first survivor and drops the block's points within ``eps``
     of it, one kept point per pass. Once the block's kept points outnumber
-    the points they dropped, its remaining survivors go to their conflict
-    graph instead (see :func:`_conflict_graph_keep`), unless that graph has
-    more edges than vertices, in which case the scan goes on.
+    the points they dropped, and if at least GRAPH_MIN_POINTS survivors
+    remain, they go to their conflict graph instead (see
+    :func:`_conflict_graph_keep`), unless that graph has more edges than
+    vertices, in which case the scan goes on.
     """
     # one memory layout, so that the scan and the graph reduce row norms alike
     pts = np.ascontiguousarray(points_of(points))
@@ -73,7 +77,8 @@ def greedy_thin(points, eps):
             idx = np.nonzero(dmin > eps)[0]
             n_kept += 1
             # kept > dropped, where dropped = survivors - n_kept - idx.size
-            if idx.size and not graph_tried and 2 * n_kept > survivors - idx.size:
+            if (idx.size >= GRAPH_MIN_POINTS and not graph_tried
+                    and 2 * n_kept > survivors - idx.size):
                 graph_tried = True
                 keep = _conflict_graph_keep(blk[idx], eps)
                 if keep is not None:

@@ -41,6 +41,8 @@ def read_orbit_csv(path):
     lines = text.strip().splitlines()
     if not lines or not lines[0].startswith("n,symbol"):
         raise GeometryValidationError(f"{path}: not an orbit CSV (missing header)")
+    if len(lines) == 1:
+        raise EmptyCloudError(f"{path}: no orbit rows")
     points = []
     symbols = []
     try:

@@ -267,17 +267,18 @@ def _assert_names(info, path, line):
 ORBIT_HEAD = "n,symbol,x1,x2\n0,,0.5,0.25\n"
 
 
-@pytest.mark.parametrize("text, line", [
-    (ORBIT_HEAD + "1,2,0.5,abc\n", 3),            # a non-numeric coordinate
-    (ORBIT_HEAD + "1,two,0.5,0.25\n", 3),         # a non-numeric symbol
-    (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,0.5\n", 4),  # a ragged row
-    (ORBIT_HEAD + "1,1,0.5,0.25\n\n2,2,0.5,0.25\n", 4),  # a blank row
-    ("\n\n" + ORBIT_HEAD + "1,1,0.5,\n", 5),      # an empty cell, after blank lines
-], ids=["cell", "symbol", "ragged", "blank", "offset"])
-def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, line):
+@pytest.mark.parametrize("text, error, line", [
+    (ORBIT_HEAD + "1,2,0.5,abc\n", GeometryValidationError, 3),      # a non-numeric coordinate
+    (ORBIT_HEAD + "1,two,0.5,0.25\n", GeometryValidationError, 3),   # a non-numeric symbol
+    (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,0.5\n", GeometryValidationError, 4),  # a ragged row
+    (ORBIT_HEAD + "1,1,0.5,0.25\n\n2,2,0.5,0.25\n", GeometryValidationError, 4),  # a blank row
+    ("\n\n" + ORBIT_HEAD + "1,1,0.5,\n", GeometryValidationError, 5),  # after blank lines
+    ("n,symbol,x1,x2\n", EmptyCloudError, None),
+], ids=["cell", "symbol", "ragged", "blank", "offset", "empty"])
+def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "orbit.csv"
     path.write_text(text)
-    with pytest.raises(GeometryValidationError) as info:
+    with pytest.raises(error) as info:
         fileio.read_orbit_csv(path)
     _assert_names(info, path, line)
 

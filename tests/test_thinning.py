@@ -25,7 +25,13 @@ from ifslab import (
     run_orbit,
 )
 from ifslab import clouds
-from ifslab.clouds import DEDUP_TOL, QUERY_BLOCK, nearest_distances, points_of
+from ifslab.clouds import (
+    DEDUP_TOL,
+    GRAPH_MIN_POINTS,
+    QUERY_BLOCK,
+    nearest_distances,
+    points_of,
+)
 from ifslab.omega import SAMPLE_SPACING
 
 
@@ -183,11 +189,15 @@ def graph_calls(monkeypatch):
     return calls
 
 
-def test_sparse_blocks_are_decided_on_the_conflict_graph(graph_calls):
-    # an i.i.d. inconsistent-Kaczmarz-like tail: 2001 points in d = 50, nearly all kept
-    points = planted_cloud(8, 2001, 50, 1e-9, planted=20)
+@pytest.mark.parametrize("n, planted, graphs", [
+    (2001, 20, [(2000, True)]),  # like an i.i.d. inconsistent Kaczmarz tail in d = 50
+    (GRAPH_MIN_POINTS + 1, 0, [(GRAPH_MIN_POINTS, True)]),
+    (GRAPH_MIN_POINTS, 0, []),  # too few survivors after the first kept point
+])
+def test_sparse_blocks_are_decided_on_the_conflict_graph(graph_calls, n, planted, graphs):
+    points = planted_cloud(8, n, 50, 1e-9, planted=planted)
     assert np.array_equal(greedy_thin(points, 1e-9), scan_thin(points, 1e-9))
-    assert graph_calls == [(2000, True)]
+    assert graph_calls == graphs
 
 
 def _isolated_then_coincident():
