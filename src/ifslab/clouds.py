@@ -113,16 +113,15 @@ def _conflict_graph_keep(points, eps):
                                                    return_length=True) - 1
         if degree[:stop].sum() > 2 * n:
             return None
-    near = np.nonzero(degree)[0]
+    near = np.nonzero(degree)[0]  # ascending, so the pairs come in arrival order
     lists = tree.query_ball_point(points[near], radius)
-    first = np.repeat(near, [len(lst) for lst in lists])
-    second = np.array([j for lst in lists for j in lst], dtype=np.intp)
-    later = first < second
-    first, second = first[later], second[later]
-    close = np.linalg.norm(points[second] - points[first], axis=1) <= eps
-    order = np.argsort(second[close], kind="stable")
+    later = np.repeat(near, [len(lst) for lst in lists])
+    earlier = np.array([j for lst in lists for j in lst], dtype=np.intp)
+    pairs = earlier < later
+    later, earlier = later[pairs], earlier[pairs]
+    close = np.linalg.norm(points[later] - points[earlier], axis=1) <= eps
     keep = np.ones(n, dtype=bool)
-    for a, b in zip(first[close][order].tolist(), second[close][order].tolist()):
+    for a, b in zip(earlier[close].tolist(), later[close].tolist()):
         if keep[a]:
             keep[b] = False
     return keep

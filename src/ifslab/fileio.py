@@ -49,7 +49,7 @@ def read_orbit_csv(path):
         for line in lines[1:]:
             cells = line.split(",")
             if len(cells) < 3:
-                raise ValueError
+                raise ValueError  # a short row, which _first_bad_line names
             if cells[1]:
                 symbols.append(int(cells[1]))
             points.append([float(c) for c in cells[2:]])

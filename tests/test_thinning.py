@@ -45,6 +45,8 @@ def naive_thin(points, eps):
     return np.asarray(kept).reshape(-1, points.shape[1])
 
 
+# The block scan alone, verbatim as greedy_thin ran it before the conflict
+# graph: the reference that the two-strategy greedy_thin must equal.
 def scan_thin(points, eps):
     """Arrival-order greedy thinning: keep a point iff it lies strictly farther
     than ``eps`` from every point kept so far.
