@@ -64,17 +64,14 @@ def greedy_thin(points, eps):
     for start in range(0, len(pts), QUERY_BLOCK):
         blk = pts[start:start + QUERY_BLOCK]
         if kept:
-            dmin = nearest_distances(blk, np.asarray(kept))
+            idx = np.nonzero(nearest_distances(blk, np.asarray(kept)) > eps)[0]
         else:
-            dmin = np.full(len(blk), np.inf)
-        idx = np.nonzero(dmin > eps)[0]
+            idx = np.arange(len(blk))
         survivors, n_kept, graph_tried = idx.size, 0, False
         while idx.size:
-            i = int(idx[0])
-            rep = blk[i]
+            rep, rest = blk[idx[0]], idx[1:]
             kept.append(rep)
-            dmin[i:] = np.minimum(dmin[i:], np.linalg.norm(blk[i:] - rep, axis=1))
-            idx = np.nonzero(dmin > eps)[0]
+            idx = rest[np.linalg.norm(blk[rest] - rep, axis=1) > eps]
             n_kept += 1
             # kept > dropped, where dropped = survivors - n_kept - idx.size
             if (idx.size >= GRAPH_MIN_POINTS and not graph_tried

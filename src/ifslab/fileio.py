@@ -2,6 +2,8 @@
 minimal SVG scatter for 2-d runs.
 
 Floats are written with ``repr`` so every file round-trips bit for bit.
+Writers check their input before they open the file, then stream it one
+line per row; readers parse a file in one pass of its lines.
 """
 
 from __future__ import annotations
@@ -21,98 +23,97 @@ SVG_SIZE = 800
 SVG_MARGIN_FRAC = 0.05
 
 
-def _fmt(value):
-    return repr(float(value))
-
-
 def write_orbit_csv(path, orbit):
     """Header ``n,symbol,x1,...,xd``; row 0 carries an empty symbol."""
-    d = orbit.dim
-    lines = ["n,symbol," + ",".join(f"x{j + 1}" for j in range(d))]
-    lines.append("0,," + ",".join(_fmt(c) for c in orbit.points[0]))
-    for k in range(orbit.n_steps):
-        coords = ",".join(_fmt(c) for c in orbit.points[k + 1])
-        lines.append(f"{k + 1},{orbit.symbols[k]},{coords}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = orbit.points.tolist()
+    symbols = [""] + orbit.symbols.tolist()
+    with open(path, "w") as f:
+        f.write("n,symbol," + ",".join(f"x{j + 1}" for j in range(orbit.dim)) + "\n")
+        f.writelines(f"{k},{s},{','.join(map(repr, row))}\n"
+                     for k, (s, row) in enumerate(zip(symbols, rows)))
 
 
 def read_orbit_csv(path):
-    text = Path(path).read_text()
-    lines = text.strip().splitlines()
-    if not lines or not lines[0].startswith("n,symbol"):
-        raise GeometryValidationError(f"{path}: not an orbit CSV (missing header)")
-    if len(lines) == 1:
+    with open(path) as f:
+        lines = enumerate(f, 1)
+        header = next((line for _, line in lines if line.strip()), "")
+        if not header.lstrip().startswith("n,symbol"):
+            raise GeometryValidationError(f"{path}: not an orbit CSV (missing header)")
+        points, symbols = _parse_rows(path, lines, _orbit_row, skip_empty=False)
+    if not points:
         raise EmptyCloudError(f"{path}: no orbit rows")
-    points = []
-    symbols = []
-    try:
-        for line in lines[1:]:
-            cells = line.split(",")
-            if len(cells) < 3:
-                raise ValueError  # a short row, which _first_bad_line names
-            if cells[1]:
-                symbols.append(int(cells[1]))
-            points.append([float(c) for c in cells[2:]])
-        points = np.asarray(points)
-    except ValueError:
-        raise _first_bad_line(path, text, _orbit_coordinates, header=True) from None
-    return Orbit(points, np.asarray(symbols, dtype=np.int64))
+    return Orbit(np.asarray(points), np.asarray(symbols, dtype=np.int64))
 
 
-def _orbit_coordinates(cells):
-    """The coordinates of an orbit row, after checking its symbol."""
+def _orbit_row(cells, index):
+    """The symbol and coordinates of the orbit row ``index``: row 0 has an
+    empty symbol and every later row has one."""
     if len(cells) < 3:
         raise ValueError(f"malformed orbit row: {','.join(cells)!r}")
-    if cells[1]:
-        int(cells[1])
-    return [float(c) for c in cells[2:]]
+    symbol, coordinates = cells[1], [float(c) for c in cells[2:]]
+    if index and symbol:
+        return int(symbol), coordinates
+    if index or symbol:
+        raise ValueError(f"symbol {symbol!r} on row {index}: "
+                         "row 0 has an empty symbol and every later row has one")
+    return None, coordinates
 
 
-def _float_rows(path, text):
-    """The nonblank lines of a headerless CSV file as a float64 array."""
-    try:
-        return np.asarray([[float(c) for c in line.split(",")]
-                           for line in text.strip().splitlines() if line])
-    except ValueError:
-        raise _first_bad_line(path, text, lambda cells: [float(c) for c in cells]) from None
+def _float_row(cells, index):
+    """The values of a row of a headerless file, which has no symbol."""
+    return None, [float(c) for c in cells]
 
 
-def _first_bad_line(path, text, parse, header=False):
-    """The :class:`GeometryValidationError` for the first data line of a CSV
-    file that ``parse`` (comma-split cells to values) rejects or that has
-    another number of values than the first data line. It names the path
-    and the 1-based line; readers call it only once their own parse failed.
+def _parse_rows(path, lines, row, skip_empty):
+    """The points and symbols of the numbered ``lines`` of a CSV file, each
+    parsed by ``row(cells, index)`` (comma-split cells and data row index to
+    ``(symbol or None, values)``).
+
+    The first line that ``row`` rejects, or that has another number of values
+    than the first row, raises :class:`GeometryValidationError` naming the
+    path and the 1-based line. Blank lines after the last row are ignored,
+    and so are empty lines and blank lines before the first row if
+    ``skip_empty``; any other blank line is rejected.
     """
-    lead = text[:len(text) - len(text.lstrip())]
-    first = len((lead + "x").splitlines())  # the file line the stripped text starts on
-    lines = enumerate(text.strip().splitlines(), first)
-    if header:
-        next(lines)
-    width = None
+    points, symbols, width = [], [], None
     for number, line in lines:
-        if not line and not header:  # headerless readers skip blank lines
-            continue
+        line = line.rstrip("\n")
         try:
-            values = parse(line.split(","))
+            symbol, values = row(line.split(","), len(points))
+            if len(values) != width:
+                if points:
+                    raise ValueError(f"{len(values)} values, the first row has {width}")
+                width = len(values)
         except ValueError as exc:
-            return GeometryValidationError(f"{path}, line {number}: {exc}")
-        width = len(values) if width is None else width
-        if len(values) != width:
-            return GeometryValidationError(
-                f"{path}, line {number}: {len(values)} values, the first row has {width}")
-    raise AssertionError(f"{path}: no line fails to parse")
+            blank = not line.strip()
+            if blank and skip_empty and not (line and points):
+                continue
+            if not blank or any(rest.strip() for _, rest in lines):
+                raise GeometryValidationError(f"{path}, line {number}: {exc}") from None
+            break
+        points.append(values)
+        if symbol is not None:
+            symbols.append(symbol)
+    return points, symbols
+
+
+def _read_headerless(path):
+    with open(path) as f:
+        points, _ = _parse_rows(path, enumerate(f, 1), _float_row, skip_empty=True)
+    return np.asarray(points)
 
 
 def write_cloud_csv(path, cloud):
     """One point per row, no header."""
-    lines = [",".join(_fmt(c) for c in p) for p in points_of(cloud)]
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = points_of(cloud).tolist()
+    with open(path, "w") as f:
+        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 def read_cloud_csv(path):
     """One point per row, no header; an empty file raises
     :class:`EmptyCloudError`."""
-    points = _float_rows(path, Path(path).read_text())
+    points = _read_headerless(path)
     if len(points) == 0:
         raise EmptyCloudError(f"{path}: empty cloud file")
     return PointCloud(points)
@@ -120,7 +121,7 @@ def read_cloud_csv(path):
 
 def read_linear_system_csv(path):
     """Rows ``a1,...,ad,b`` with no header."""
-    data = _float_rows(path, Path(path).read_text())
+    data = _read_headerless(path)
     if len(data) == 0:
         raise GeometryValidationError(f"{path}: empty system file")
     if data.shape[1] < 2:
@@ -148,21 +149,17 @@ def render_svg_scatter(path, points, highlights=None):
     lo = lo - pad
     scale = (SVG_SIZE - 1) / (span.max() + 2 * pad)
 
-    def to_px(p):
-        x = (p[0] - lo[0]) * scale
-        y = SVG_SIZE - 1 - (p[1] - lo[1]) * scale
-        return f"{x:.2f}", f"{y:.2f}"
+    def pixels(p):
+        px = (p - lo) * scale
+        px[:, 1] = SVG_SIZE - 1 - px[:, 1]
+        return px.tolist()
 
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
-        f'viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
-        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
-    ]
-    for p in pts:
-        x, y = to_px(p)
-        parts.append(f'<circle cx="{x}" cy="{y}" r="1.5" fill="#888888" fill-opacity="0.6"/>')
-    for p in hi:
-        x, y = to_px(p)
-        parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="#cc2222"/>')
-    parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    with open(path, "w") as f:
+        f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
+                f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
+                f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n')
+        f.writelines(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="#888888" '
+                     f'fill-opacity="0.6"/>\n' for x, y in pixels(pts))
+        f.writelines(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#cc2222"/>\n'
+                     for x, y in pixels(hi))
+        f.write("</svg>\n")

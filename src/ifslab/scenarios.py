@@ -139,7 +139,6 @@ class Scenario:
     checks: tuple
     reference_cloud: PointCloud = None
     reference_exact: omega.SegmentSet = None
-    config: dict = None
 
 
 def scenario_from_dict(config):
@@ -206,7 +205,6 @@ def scenario_from_dict(config):
         name=name, system=system, driver=driver, x0=x0, steps=steps,
         burn_in=burn_in, cluster_eps=cluster_eps, checks=tuple(checks),
         reference_cloud=reference_cloud, reference_exact=reference_exact,
-        config=config,
     )
 
 

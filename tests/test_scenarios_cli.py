@@ -274,7 +274,9 @@ ORBIT_HEAD = "n,symbol,x1,x2\n0,,0.5,0.25\n"
     (ORBIT_HEAD + "1,1,0.5,0.25\n\n2,2,0.5,0.25\n", GeometryValidationError, 4),  # a blank row
     ("\n\n" + ORBIT_HEAD + "1,1,0.5,\n", GeometryValidationError, 5),  # after blank lines
     ("n,symbol,x1,x2\n", EmptyCloudError, None),
-], ids=["cell", "symbol", "ragged", "blank", "offset", "empty"])
+    ("n,symbol,x1,x2\n0,1,0.5,0.25\n1,2,0.5,0.25\n", GeometryValidationError, 2),  # on row 0
+    (ORBIT_HEAD + "1,2,0.5,0.25\n2,,0.5,0.25\n", GeometryValidationError, 4),  # none later
+], ids=["cell", "symbol", "ragged", "blank", "offset", "empty", "row0-symbol", "no-symbol"])
 def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "orbit.csv"
     path.write_text(text)
@@ -289,7 +291,8 @@ def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     ("\n1.0,2.0\n\n3.0,4.0,5.0\n", GeometryValidationError, 4),
     ("", EmptyCloudError, None),
     ("\n \n", EmptyCloudError, None),
-], ids=["cell", "ragged", "offset", "empty", "blank"])
+    ("1.0,2.0\n \n3.0,4.0\n", GeometryValidationError, 2),  # only empty lines are skipped
+], ids=["cell", "ragged", "offset", "empty", "blank", "whitespace"])
 def test_cloud_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "cloud.csv"
     path.write_text(text)
