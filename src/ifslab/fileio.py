@@ -3,7 +3,8 @@ minimal SVG scatter for 2-d runs.
 
 Floats are written with ``repr`` so every file round-trips bit for bit.
 Writers check their input before they open the file, then stream it one
-line per row; readers parse a file in one pass of its lines.
+line per row; readers parse a file in one pass of its lines, and walk it
+again only to name the line of a non-finite value.
 """
 
 from __future__ import annotations
@@ -34,15 +35,10 @@ def write_orbit_csv(path, orbit):
 
 
 def read_orbit_csv(path):
-    with open(path) as f:
-        lines = enumerate(f, 1)
-        header = next((line for _, line in lines if line.strip()), "")
-        if not header.lstrip().startswith("n,symbol"):
-            raise GeometryValidationError(f"{path}: not an orbit CSV (missing header)")
-        points, symbols = _parse_rows(path, lines, _orbit_row, skip_empty=False)
-    if not points:
+    points, symbols = _read_rows(path, _orbit_row, header="n,symbol")
+    if not len(points):
         raise EmptyCloudError(f"{path}: no orbit rows")
-    return Orbit(np.asarray(points), np.asarray(symbols, dtype=np.int64))
+    return Orbit(points, np.asarray(symbols, dtype=np.int64))
 
 
 def _orbit_row(cells, index):
@@ -62,6 +58,46 @@ def _orbit_row(cells, index):
 def _float_row(cells, index):
     """The values of a row of a headerless file, which has no symbol."""
     return None, [float(c) for c in cells]
+
+
+def _read_rows(path, row, header=None):
+    """The points, as one array, and the symbols of a CSV file whose rows
+    ``row`` parses (see :func:`_parse_rows`), after the ``header`` line if
+    one is given; only a headerless file skips empty lines.
+
+    A non-finite value raises :class:`GeometryValidationError` naming its
+    line, like any other bad cell. One vectorized test looks for it after
+    the parse, so a malformed line later in the file is named first; only
+    when the test fails is the file walked again to find the line.
+    """
+    points, symbols = _walk(path, row, header)
+    points = np.asarray(points)
+    if points.size and not (np.isfinite(points.min()) and np.isfinite(points.max())):
+        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
+        _walk(path, _finite_at(row, bad), header)
+    return points, symbols
+
+
+def _walk(path, row, header):
+    """One pass of the file: the header check, then :func:`_parse_rows`."""
+    with open(path) as f:
+        lines = enumerate(f, 1)
+        if header is not None:
+            first = next((line for _, line in lines if line.strip()), "")
+            if not first.lstrip().startswith(header):
+                raise GeometryValidationError(f"{path}: not an orbit CSV (missing header)")
+        return _parse_rows(path, lines, row, skip_empty=header is None)
+
+
+def _finite_at(row, bad):
+    """``row``, rejecting the data row ``bad``, whose values are not all
+    finite."""
+    def checked(cells, index):
+        parsed = row(cells, index)
+        if index == bad:
+            raise ValueError(f"non-finite value in {','.join(cells)!r}")
+        return parsed
+    return checked
 
 
 def _parse_rows(path, lines, row, skip_empty):
@@ -97,12 +133,6 @@ def _parse_rows(path, lines, row, skip_empty):
     return points, symbols
 
 
-def _read_headerless(path):
-    with open(path) as f:
-        points, _ = _parse_rows(path, enumerate(f, 1), _float_row, skip_empty=True)
-    return np.asarray(points)
-
-
 def write_cloud_csv(path, cloud):
     """One point per row, no header."""
     rows = points_of(cloud).tolist()
@@ -113,7 +143,7 @@ def write_cloud_csv(path, cloud):
 def read_cloud_csv(path):
     """One point per row, no header; an empty file raises
     :class:`EmptyCloudError`."""
-    points = _read_headerless(path)
+    points, _ = _read_rows(path, _float_row)
     if len(points) == 0:
         raise EmptyCloudError(f"{path}: empty cloud file")
     return PointCloud(points)
@@ -121,7 +151,7 @@ def read_cloud_csv(path):
 
 def read_linear_system_csv(path):
     """Rows ``a1,...,ad,b`` with no header."""
-    data = _read_headerless(path)
+    data, _ = _read_rows(path, _float_row)
     if len(data) == 0:
         raise GeometryValidationError(f"{path}: empty system file")
     if data.shape[1] < 2:
@@ -144,10 +174,16 @@ def render_svg_scatter(path, points, highlights=None):
     every = np.vstack([pts, hi]) if len(hi) else pts
     lo = every.min(axis=0)
     hiv = every.max(axis=0)
-    span = np.maximum(hiv - lo, 1e-12)
-    pad = SVG_MARGIN_FRAC * span.max()
-    lo = lo - pad
-    scale = (SVG_SIZE - 1) / (span.max() + 2 * pad)
+    with np.errstate(over="ignore"):
+        span = np.maximum(hiv - lo, 1e-12)
+        pad = SVG_MARGIN_FRAC * span.max()
+        extent = span.max() + 2 * pad
+        lo = lo - pad
+        # The pixel transform is monotone, so every pixel is finite when the
+        # extent, the padded lower corner and the upper corner's offset are.
+        if not np.isfinite([extent, *lo, *(hiv - lo)]).all():
+            raise GeometryValidationError(f"{path}: the SVG points span more than float64 holds")
+    scale = (SVG_SIZE - 1) / extent
 
     def pixels(p):
         px = (p - lo) * scale

@@ -5,10 +5,15 @@ Everything works on float64 numpy arrays. Projection functions accept a
 single point of shape ``(d,)`` or a stack of points of shape ``(k, d)`` and
 return the matching shape. All functions are pure; the geometric objects are
 immutable and safe to share between threads.
+
+The unvalidated ``project`` methods take an optional ``out``, a float64 array
+of the result's shape: the image is written into it and ``out`` is returned.
+``out`` must not alias ``p``. The arithmetic is the same with or without it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,10 +89,10 @@ class Hyperplane:
     def dim(self):
         return self.normal.shape[0]
 
-    def project(self, p):
+    def project(self, p, out=None):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
         ``p - ((a.p - b)/|a|^2) a``."""
-        return _move_along(p, self.normal, (p.dot(self.normal) - self.offset) / self._aa)
+        return _move_along(p, self.normal, (p.dot(self.normal) - self.offset) / self._aa, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,12 +124,13 @@ class AffineSubspace:
     def dim(self):
         return self.anchor.shape[0]
 
-    def project(self, p):
+    def project(self, p, out=None):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
         ``anchor + ((p - anchor) B^T) B`` for basis rows ``B``."""
         if self.basis.shape[0] == 0:
-            return np.broadcast_to(self.anchor, p.shape).copy()
-        return self.anchor + ((p - self.anchor) @ self.basis.T) @ self.basis
+            # A copy of the anchor per point; positive keeps each bit.
+            return np.positive(np.broadcast_to(self.anchor, p.shape), out=out)
+        return np.add(self.anchor, ((p - self.anchor) @ self.basis.T) @ self.basis, out=out)
 
     @classmethod
     def single_point(cls, point):
@@ -175,11 +181,11 @@ class Halfspace:
     def dim(self):
         return self.normal.shape[0]
 
-    def project(self, p):
+    def project(self, p, out=None):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
         the hyperplane step, taken only where ``a.p > b``."""
         t = np.maximum((p.dot(self.normal) - self.offset) / self._aa, 0.0)
-        return _move_along(p, self.normal, t)
+        return _move_along(p, self.normal, t, out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,16 +205,24 @@ class Ball:
     def dim(self):
         return self.center.shape[0]
 
-    def project(self, p):
+    def project(self, p, out=None):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
-        points outside are scaled radially onto the sphere."""
+        points outside are scaled radially onto the sphere.
+
+        The distance is ``np.linalg.norm(rel, axis=-1)``'s arithmetic, the
+        square root of the plain sum of squares; one point computes it
+        without the wrapper, and is scaled only when it lies outside (a
+        scale of 1.0 changes no bit)."""
         rel = p - self.center
+        if p.ndim == 1:
+            dist = math.sqrt(np.add.reduce(rel * rel))
+            if dist > self.radius:
+                rel *= self.radius / dist
+            return np.add(self.center, rel, out=out)
         dist = np.linalg.norm(rel, axis=-1)
         scale = np.ones_like(dist)
         np.divide(self.radius, dist, out=scale, where=dist > self.radius)
-        if p.ndim == 1:
-            return self.center + float(scale) * rel
-        return self.center + scale[:, None] * rel
+        return np.add(self.center, scale[:, None] * rel, out=out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,22 +242,23 @@ class Box:
     def dim(self):
         return self.lower.shape[0]
 
-    def project(self, p):
+    def project(self, p, out=None):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
-        coordinatewise clipping."""
-        return np.clip(p, self.lower, self.upper)
+        coordinatewise clipping (the method is ``np.clip`` without its
+        wrapper)."""
+        return p.clip(self.lower, self.upper, out=out)
 
 
 #: Convex bodies accepted by :func:`project_convex`.
 ConvexBody = (Halfspace, Ball, Box)
 
 
-def _move_along(p, normal, t):
+def _move_along(p, normal, t, out=None):
     """``p - t * normal`` for one point and scalar ``t``, or row-wise for a
-    stack of points and one ``t`` per row."""
+    stack of points and one ``t`` per row; written into ``out`` if given."""
     if p.ndim == 1:
-        return p - t * normal
-    return p - t[:, None] * normal
+        return np.subtract(p, t * normal, out=out)
+    return np.subtract(p, t[:, None] * normal, out=out)
 
 
 def project_hyperplane(x, plane):

@@ -122,11 +122,11 @@ class AffineMap:
     def dim(self):
         return self.shift.shape[0]
 
-    def kernel(self, p):
+    def kernel(self, p, out=None):
         """Unvalidated image of ``(d,)`` or ``(k, d)`` float64 points."""
         if p.ndim == 1:
-            return self.matrix @ p + self.shift
-        return p @ self.matrix.T + self.shift
+            return np.add(self.matrix @ p, self.shift, out=out)
+        return np.add(p @ self.matrix.T, self.shift, out=out)
 
     def apply(self, x):
         return self.kernel(geometry._as_points(x, self.dim))
@@ -138,6 +138,8 @@ class AffineMap:
 #: Generator variants accepted by IFSystem. Each has ``apply``, which
 #: validates its input, and ``kernel``, the same arithmetic unvalidated, which
 #: orbit steps use; so orbit points equal repeated ``apply`` bit for bit.
+#: ``kernel(p, out=None)`` writes the image into ``out`` when given and
+#: returns it; ``out`` must not alias ``p``.
 MapSpec = (HyperplaneProjection, SubspaceProjection, ConvexProjection, AffineMap)
 
 
@@ -226,8 +228,10 @@ def _iterate(system, x0, blocks, n, stop=None):
 
     Without ``stop`` the buffers hold all ``n`` steps from the start; with it
     they grow block by block, so memory follows the steps run. Steps call the
-    generators' kernels without validation; callers validate ``x0`` and the
-    symbols.
+    generators' kernels without validation, each writing its image straight
+    into the point's row of the buffer; callers validate ``x0`` and the
+    symbols. The current point ``x`` is a view of its row, so it is taken
+    again after the buffers grow.
     """
     kernels = [m.kernel for m in system.maps]
     size = n if stop is None else 0
@@ -240,16 +244,16 @@ def _iterate(system, x0, blocks, n, stop=None):
     for block in blocks:
         start, end = k + 1, k + len(block)
         if end > size:
-            # At least double, up to n. No view of the buffers is alive here,
-            # so they grow in place.
+            # At least double, up to n. The buffers grow in place, which
+            # frees their old memory, so the view x is taken again.
             size = min(n, max(end, 2 * size))
             pts.resize((size + 1, system.dim), refcheck=False)
             syms.resize(size, refcheck=False)
+            x = pts[k]
         syms[k:end] = block
-        for step in [kernels[i] for i in (block - 1).tolist()]:
-            x = step(x)
-            k += 1
-            pts[k] = x
+        for step, row in zip([kernels[i] for i in (block - 1).tolist()], pts[start:end + 1]):
+            x = step(x, row)
+        k = end
         if stop is not None:
             first = stop(pts[start:end + 1])
             if first is not None:
@@ -258,8 +262,9 @@ def _iterate(system, x0, blocks, n, stop=None):
 
 
 def _used(pts, syms, k):
-    """The orbit of the first ``k`` steps. The buffers have no views, so they
-    shrink in place: no unused rows stay alive and no second copy is made."""
+    """The orbit of the first ``k`` steps. No view of the buffers is used
+    after this, so they shrink in place: no unused rows stay alive and no
+    second copy is made."""
     pts.resize((k + 1, pts.shape[1]), refcheck=False)
     syms.resize(k, refcheck=False)
     return Orbit(pts, syms)

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ifslab import Orbit, fileio
 from ifslab.cli import main
 from ifslab.clouds import points_of
+from ifslab.errors import GeometryValidationError
 from ifslab.fileio import SVG_MARGIN_FRAC, SVG_SIZE
 from ifslab.kaczmarz import MIN_ROW_NORM
 from ifslab.scenarios import PRESET_NAMES, scenario_from_dict
@@ -124,11 +125,31 @@ def test_cloud_csv_bytes_equal_oracle(tmp_path_factory, points):
     assert _same_bytes(tmp_path, fileio.write_cloud_csv, oracle_write_cloud_csv, points)
 
 
+def svg_span_overflows(points, highlights):
+    """Whether the oracle's pixel transform leaves float64 for these points:
+    an infinite extent, padded lower corner, or point offset from it."""
+    every = points if highlights is None else np.vstack([points, highlights])
+    lo, hi = every.min(axis=0), every.max(axis=0)
+    with np.errstate(over="ignore"):
+        span = np.maximum(hi - lo, 1e-12)
+        pad = SVG_MARGIN_FRAC * span.max()
+        corner = lo - pad
+        return not np.all(np.isfinite([span.max() + 2 * pad, *corner, *(every - corner).ravel()]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(points=point_sets(dim=2), highlights=st.none() | point_sets(dim=2, max_rows=5))
+@example(points=np.array([[-1.7976931348623157e308, 0.0], [1.7976931348623157e308, 1.0]]),
+         highlights=None)
 def test_svg_bytes_equal_oracle(tmp_path_factory, points, highlights):
     tmp_path = tmp_path_factory.mktemp("svg")
-    with np.errstate(over="ignore", invalid="ignore"):  # spans of +-1.8e308 overflow alike
+    if svg_span_overflows(points, highlights):
+        # The oracle's transform overflowed (nan or inf pixels, or a zero
+        # scale); the scatter refuses before it opens the file.
+        with pytest.raises(GeometryValidationError):
+            fileio.render_svg_scatter(tmp_path / "ours", points, highlights)
+        assert not (tmp_path / "ours").exists()
+    else:
         assert _same_bytes(tmp_path, fileio.render_svg_scatter, oracle_render_svg_scatter,
                            points, highlights)
 

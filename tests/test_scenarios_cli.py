@@ -276,7 +276,11 @@ ORBIT_HEAD = "n,symbol,x1,x2\n0,,0.5,0.25\n"
     ("n,symbol,x1,x2\n", EmptyCloudError, None),
     ("n,symbol,x1,x2\n0,1,0.5,0.25\n1,2,0.5,0.25\n", GeometryValidationError, 2),  # on row 0
     (ORBIT_HEAD + "1,2,0.5,0.25\n2,,0.5,0.25\n", GeometryValidationError, 4),  # none later
-], ids=["cell", "symbol", "ragged", "blank", "offset", "empty", "row0-symbol", "no-symbol"])
+    (ORBIT_HEAD + "1,1,nan,0.25\n", GeometryValidationError, 3),     # a NaN coordinate
+    ("\nn,symbol,x1,x2\n0,,-inf,0.25\n1,1,0.5,0.25\n", GeometryValidationError, 3),  # -inf
+    (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,0.5,1e999\n", GeometryValidationError, 4),  # overflow
+], ids=["cell", "symbol", "ragged", "blank", "offset", "empty", "row0-symbol", "no-symbol",
+        "nan", "inf", "overflow"])
 def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "orbit.csv"
     path.write_text(text)
@@ -292,7 +296,9 @@ def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     ("", EmptyCloudError, None),
     ("\n \n", EmptyCloudError, None),
     ("1.0,2.0\n \n3.0,4.0\n", GeometryValidationError, 2),  # only empty lines are skipped
-], ids=["cell", "ragged", "offset", "empty", "blank", "whitespace"])
+    ("1.0,2.0\n3.0,inf\n", GeometryValidationError, 2),
+    ("\n\n1.0,2.0\n\nNaN,4.0\n", GeometryValidationError, 5),
+], ids=["cell", "ragged", "offset", "empty", "blank", "whitespace", "inf", "nan"])
 def test_cloud_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "cloud.csv"
     path.write_text(text)
@@ -305,7 +311,9 @@ def test_cloud_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     ("1.0,0.0,2.0\n0.0,x,1.0\n", 2),
     ("1.0,0.0,2.0\n0.0,1.0\n", 2),
     ("1.0,0.0,2.0\n\n\n0.0,1.0,1.0,\n", 4),
-], ids=["cell", "ragged", "offset"])
+    ("1.0,0.0,2.0\n0.0,1.0,nan\n", 2),
+    ("\n1.0,0.0,2.0\n0.0,-inf,1.0\n", 3),
+], ids=["cell", "ragged", "offset", "nan", "inf"])
 def test_linear_system_csv_faults_name_the_file_and_line(tmp_path, text, line):
     path = tmp_path / "system.csv"
     path.write_text(text)
