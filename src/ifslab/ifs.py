@@ -22,6 +22,10 @@ NONEXPANSIVE_SLACK = 1e-9
 # Pairs closer than this carry no usable Lipschitz quotient.
 DEGENERATE_PAIR_TOL = 1e-12
 
+# Steps the orbit loop runs between two looks at the orbit: the stop test of
+# a caller, and the test for a revisited point that starts table stepping.
+STEP_BLOCK = 256
+
 
 def spectral_norm(matrix):
     """Largest singular value: the operator 2-norm, by SVD."""
@@ -217,12 +221,13 @@ def apply_map(system, symbol, x):
 
 def _iterate(system, x0, blocks, n, stop=None):
     """The orbit loop: step from ``x0`` through at most ``n`` symbols, given
-    as int64 blocks already checked to lie in ``1..n_maps``.
+    as int64 blocks already checked to lie in ``1..n_maps``. The loop cuts
+    them into blocks of at most ``STEP_BLOCK`` steps.
 
     ``stop``, when given, is a block predicate: it takes a ``(k, d)`` block of
     orbit points and returns the index of the first point at which the orbit
     ends, or ``None``. It sees ``x0`` first, as a ``(1, d)`` block, and then
-    the new points of each symbol block once all of them are stepped; the
+    the new points of each step block once all of them are stepped; the
     steps after the stopping point are dropped. It must keep no reference to
     the block, a view of buffers that later grow in place.
 
@@ -230,35 +235,108 @@ def _iterate(system, x0, blocks, n, stop=None):
     they grow block by block, so memory follows the steps run. Steps call the
     generators' kernels without validation, each writing its image straight
     into the point's row of the buffer; callers validate ``x0`` and the
-    symbols. The current point ``x`` is a view of its row, so it is taken
-    again after the buffers grow.
+    symbols. The current point ``x`` is a view of its row, taken at the start
+    of each block, after any growth, so no view of the buffers outlives one.
+
+    Once a block ends on a point it has visited before, the orbit may be
+    running on a finite set of floats, and any later blocks are stepped by a
+    :class:`_StateTable` built from that block, until one of them meets
+    more new transitions than known ones. A kernel is a function of its
+    input's bits and every table entry is a kernel's own image, so the orbit
+    is the same bit for bit.
     """
     kernels = [m.kernel for m in system.maps]
     size = n if stop is None else 0
     pts = np.empty((size + 1, system.dim))
     syms = np.empty(size, dtype=np.int64)
-    pts[0] = x = x0
+    pts[0] = x0
     if stop is not None and stop(pts[:1]) is not None:
         return _used(pts, syms, 0)
     k = 0
-    for block in blocks:
+    table = None
+    for block in _step_blocks(blocks):
         start, end = k + 1, k + len(block)
         if end > size:
-            # At least double, up to n. The buffers grow in place, which
-            # frees their old memory, so the view x is taken again.
+            # At least double, up to n, in place, which frees the old memory.
             size = min(n, max(end, 2 * size))
             pts.resize((size + 1, system.dim), refcheck=False)
             syms.resize(size, refcheck=False)
-            x = pts[k]
         syms[k:end] = block
-        for step, row in zip([kernels[i] for i in (block - 1).tolist()], pts[start:end + 1]):
-            x = step(x, row)
+        new = pts[k:end + 1]
+        if table is None:
+            x = pts[k]
+            for step, row in zip([kernels[i] for i in (block - 1).tolist()], new[1:]):
+                x = step(x, row)
+            if end < n and (new[:-1] == new[-1]).all(1).any():
+                table = _StateTable(kernels, new, block)
+        elif not table.step(block, new):
+            table = None
         k = end
         if stop is not None:
-            first = stop(pts[start:end + 1])
+            first = stop(new[1:])
             if first is not None:
                 return _used(pts, syms, start + first)
     return _used(pts, syms, k)
+
+
+def _step_blocks(blocks):
+    """The symbol blocks cut into blocks of at most ``STEP_BLOCK``."""
+    for block in blocks:
+        for i in range(0, len(block), STEP_BLOCK):
+            yield block[i:i + STEP_BLOCK]
+
+
+class _StateTable:
+    """The transitions ``(state, symbol) -> state`` seen so far on an orbit,
+    for stepping it without calling a kernel where it has been before.
+
+    A state is a distinct point, keyed by its exact bytes (so ``-0.0`` and
+    ``0.0`` are different states), and stored once in ``states``, which grows
+    in place by doubling. ``next[state][i]`` is the state that ``kernels[i]``
+    maps ``state`` to, or ``None`` until the orbit takes that step.
+    """
+
+    def __init__(self, kernels, points, symbols):
+        self.kernels = kernels
+        self.ids = {}
+        self.next = []
+        self.states = np.empty(points.shape)
+        path = [self._add(p) for p in points]
+        for state, i, image in zip(path, (symbols - 1).tolist(), path[1:]):
+            self.next[state][i] = image
+        self.current = path[-1]
+
+    def _add(self, point):
+        """The state of ``point``, added if it is new."""
+        key = point.tobytes()
+        state = self.ids.get(key)
+        if state is None:
+            state = self.ids[key] = len(self.next)
+            if state == len(self.states):
+                self.states.resize((2 * state, self.states.shape[1]), refcheck=False)
+            self.states[state] = point
+            self.next.append([None] * len(self.kernels))
+        return state
+
+    def step(self, symbols, rows):
+        """Step from the current state, the point ``rows[0]``, through the
+        symbols, and write the points into ``rows[1:]``. A transition not in
+        the table is a kernel's image of the stored state. Returns whether
+        the table is still worth keeping: no more new transitions than known
+        ones."""
+        state = self.current
+        path = []
+        misses = 0
+        for i in (symbols - 1).tolist():
+            image = self.next[state][i]
+            if image is None:
+                misses += 1
+                image = self.next[state][i] = self._add(self.kernels[i](self.states[state]))
+            path.append(image)
+            state = image
+        rows[1:] = self.states[path]
+        self.current = state
+        return 2 * misses <= len(path)
 
 
 def _used(pts, syms, k):

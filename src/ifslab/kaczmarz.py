@@ -27,10 +27,6 @@ PARALLEL_ANGLE_TOL = 1e-10
 # Symbols drawn from the driver at a time by solve.
 SYMBOL_BLOCK = 4096
 
-# Steps solve runs between two stop tests; each test screens the block's new
-# points with one matrix product.
-STOP_BLOCK = 256
-
 # The screen passes every point whose residual may be within tol:
 # SCREEN_SLACK * gamma_{d+2} * (|p| + max |b_i|/|a_i|) bounds twice over how
 # far the product's rounding can move a residual.
@@ -145,7 +141,7 @@ def solve(system, driver, tol, max_iter, x0=None):
 
     The driver is a spec, a stream, or any integer sequence; its symbols are
     drawn in blocks of ``SYMBOL_BLOCK`` as the run goes. The stop test runs
-    on ``x0`` and then once per ``STOP_BLOCK`` steps, on all of the block's
+    on ``x0`` and then once per ``ifs.STEP_BLOCK`` steps, on all of the block's
     points (see :meth:`LinearSystem._first_within`); the orbit ends at the
     first point within ``tol``. So the stop, the orbit and the report are
     those of a test after every step. The orbit buffer grows with the steps
@@ -159,9 +155,7 @@ def solve(system, driver, tol, max_iter, x0=None):
         raise ValueError("need at least one iteration")
     x = np.zeros(system.dim) if x0 is None else as_vector(x0, dim=system.dim)
 
-    blocks = (block[i:i + STOP_BLOCK]
-              for block in symbol_blocks(driver, max_iter, system.n_rows, SYMBOL_BLOCK)
-              for i in range(0, len(block), STOP_BLOCK))
+    blocks = symbol_blocks(driver, max_iter, system.n_rows, SYMBOL_BLOCK)
     orbit = _iterate(system_to_ifs(system), x, blocks, max_iter,
                      stop=lambda pts: system._first_within(pts, tol))
     final_point = orbit.points[-1].copy()

@@ -22,8 +22,7 @@ from ifslab import (
     solve,
     system_to_ifs,
 )
-from ifslab.ifs import symbols_from
-from ifslab.kaczmarz import STOP_BLOCK
+from ifslab.ifs import STEP_BLOCK, symbols_from
 
 PARALLEL_PAIR = LinearSystem([[0, 1], [0, 1]], [0, 1])  # y=0 and y=1
 
@@ -290,7 +289,7 @@ def systems_and_drivers(draw):
     b = a @ rng.standard_normal(d) if draw(st.booleans()) else rng.standard_normal(m)
     system = LinearSystem(a, b)
     x0 = rng.standard_normal(d) * draw(st.sampled_from([0.0, 1.0, 100.0]))
-    max_iter = draw(st.integers(1, 3 * STOP_BLOCK + 10))
+    max_iter = draw(st.integers(1, 3 * STEP_BLOCK + 10))
     kind = draw(st.sampled_from(["cyclic", "iid", "array"]))
     if kind == "cyclic":
         driver = Cyclic(tuple(int(i) for i in rng.permutation(m) + 1))
@@ -302,11 +301,11 @@ def systems_and_drivers(draw):
 
 
 # Stops on x0 and on the first and last steps of the first sub-blocks.
-BLOCK_EDGES = (0, 1, STOP_BLOCK, STOP_BLOCK + 1, 2 * STOP_BLOCK, 2 * STOP_BLOCK + 1)
+BLOCK_EDGES = (0, 1, STEP_BLOCK, STEP_BLOCK + 1, 2 * STEP_BLOCK, 2 * STEP_BLOCK + 1)
 
 
 @settings(max_examples=80, deadline=None)
-@given(systems_and_drivers(), st.one_of(st.integers(0, 3 * STOP_BLOCK + 10),
+@given(systems_and_drivers(), st.one_of(st.integers(0, 3 * STEP_BLOCK + 10),
                                          st.sampled_from(BLOCK_EDGES)))
 def test_block_stop_equals_the_per_step_stop(case, k):
     system, driver, x0, max_iter = case
@@ -350,5 +349,5 @@ def test_orbit_buffer_grows_with_the_steps_run():
     assert report.converged and report.iterations < 5000
     # Points and symbols of the steps run, doubled by the buffer growth and
     # again by a reallocation, plus 1 MB for everything else.
-    bound = 4 * (report.iterations + STOP_BLOCK + 1) * (sys_lin.dim + 1) * 8 + 2**20
+    bound = 4 * (report.iterations + STEP_BLOCK + 1) * (sys_lin.dim + 1) * 8 + 2**20
     assert peak <= bound < (max_iter + 1) * sys_lin.dim * 8 // 50

@@ -1,7 +1,9 @@
 """The generator kernels: orbit steps that write each image into the orbit
-buffer, and the ball and box point paths without numpy's wrappers, give bit
-for bit the orbits and images of the kernels they replaced (kept below as
-oracles)."""
+buffer, the ball and box point paths without numpy's wrappers, and orbits
+stepped by a table of the states they revisit give bit for bit the orbits and
+images of the kernels they replaced (kept below as oracles)."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,19 +15,23 @@ from ifslab import (
     Ball,
     Box,
     ConvexProjection,
+    Custom,
     Cyclic,
+    DisjunctiveEnumeration,
     Halfspace,
     Hyperplane,
     HyperplaneProjection,
     IFSystem,
+    IidRandom,
     LinearSystem,
     SubspaceProjection,
     run_orbit,
     solve,
 )
+from ifslab import ifs
 from ifslab.geometry import AffineSubspace
-from ifslab.ifs import spectral_norm, symbols_from
-from ifslab.kaczmarz import STOP_BLOCK, system_to_ifs
+from ifslab.ifs import STEP_BLOCK, spectral_norm, symbols_from
+from ifslab.kaczmarz import system_to_ifs
 
 
 # --- oracles: the kernels as they were, each returning a new array -------------
@@ -199,16 +205,193 @@ def test_kernel_images_equal_the_oracle_on_points_and_stacks(kind, data):
 @pytest.mark.parametrize("angle", [0.1, 0.15, 0.2, 0.25])
 def test_solve_orbit_equals_the_oracle_after_buffer_growths(angle):
     # Two lines at a small angle: each solve stops after more than 2
-    # STOP_BLOCK steps, so the orbit buffer has grown at least three times
-    # (to STOP_BLOCK, 2 STOP_BLOCK, 4 STOP_BLOCK steps, ...), each time while
-    # the loop holds a view of its current point.
+    # STEP_BLOCK steps, so the orbit buffer has grown at least three times
+    # (to STEP_BLOCK, 2 STEP_BLOCK, 4 STEP_BLOCK steps, ...) between two
+    # kernel-stepped blocks.
     a = np.array([[1.0, 0.0], [np.cos(angle), np.sin(angle)]])
     system = LinearSystem(a, a @ np.array([0.5, -0.25]))
     for driver in (Cyclic((1, 2)), Cyclic((2, 1))):
         for x0 in (np.ones(2), np.array([-3.0, 2.0])):
             report = solve(system, driver, tol=1e-10, max_iter=100_000, x0=x0)
-            assert report.converged and report.iterations > 2 * STOP_BLOCK
+            assert report.converged and report.iterations > 2 * STEP_BLOCK
             symbols = symbols_from(driver, report.iterations, system.n_rows)
             expected = oracle_orbit(system_to_ifs(system), x0, symbols)
             assert same_bits(report.orbit.points, expected)
             assert system._residual(expected[-2]) > 1e-10 >= system._residual(expected[-1])
+
+
+# --- orbits stepped by a table of revisited states ------------------------------
+
+def line(normal, offset):
+    return HyperplaneProjection(Hyperplane(normal, offset))
+
+
+def rotation(angle, center):
+    r = np.array([[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]])
+    return AffineMap(r, center - r @ center)
+
+
+def few_state_system(kind, rng):
+    """A system whose float orbits settle on a few states: the paper's
+    polyhedral examples, translations clipped to a box, two points equal but
+    for the sign of a zero, and the benchmark's ball, box, plane and
+    contraction sharing one fixed point."""
+    if kind == "square":
+        return IFSystem((line([1, 0], 1), line([1, 0], 0), line([0, 1], 1), line([0, 1], 0)), 2)
+    if kind == "triangle":
+        return IFSystem((line([0, 1], 0), line([1, 1], 1), line([1, 0], 0)), 2)
+    if kind == "parallel lines":
+        return IFSystem((line([0, 1], 0), line([0, 1], 1)), 2)
+    if kind == "box corners":
+        shifts = [2.0 * e for e in np.eye(3)] + [-2.0 * e for e in np.eye(3)]
+        return IFSystem((ConvexProjection(Box(np.zeros(3), np.ones(3))),)
+                        + tuple(AffineMap(np.eye(3), s) for s in shifts), 3)
+    if kind == "signed zeros":
+        return IFSystem((SubspaceProjection(AffineSubspace.single_point([0.25, -0.0])),
+                         SubspaceProjection(AffineSubspace.single_point([0.25, 0.0])),
+                         line([1, 0], 0.5)), 2)
+    rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    p = rng.uniform(-0.3, 0.3, 3)
+    return IFSystem((ConvexProjection(Ball(np.zeros(3), 1.0)),
+                     ConvexProjection(Box(np.full(3, -0.5), np.full(3, 0.8))),
+                     SubspaceProjection(AffineSubspace.spanned_by(p, rng.standard_normal((2, 3)))),
+                     AffineMap(0.6 * rot, p - 0.6 * rot @ p)), 3)
+
+
+FEW_STATE_KINDS = ["square", "triangle", "parallel lines", "box corners", "signed zeros",
+                   "mixed"]
+
+
+def few_state_driver(kind, rng, n_maps, n):
+    if kind == "iid":
+        return IidRandom.uniform(int(rng.integers(1, 2**31)), n_maps)
+    if kind == "disjunctive":
+        return DisjunctiveEnumeration(n_maps)
+    pattern = rng.integers(1, n_maps + 1, size=int(rng.integers(1, 40)))
+    return Custom(tuple(np.resize(pattern, n).tolist()), n_maps)
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """Every state table the orbits of a test build, recording each table
+    step's verdict and the capacity of its states array."""
+    built = []
+
+    class Recorded(ifs._StateTable):
+        def __init__(self, kernels, points, symbols):
+            super().__init__(kernels, points, symbols)
+            self.first_stepped = len(self.ids)  # states from here on came from table steps
+            self.kept = []
+            self.capacities = []
+            built.append(self)
+
+        def step(self, symbols, rows):
+            keep = super().step(symbols, rows)
+            self.kept.append(keep)
+            self.capacities.append(len(self.states))
+            return keep
+
+    monkeypatch.setattr(ifs, "_StateTable", Recorded)
+    return built
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FEW_STATE_KINDS), st.sampled_from(["iid", "disjunctive", "custom"]),
+       st.integers(0, 2**32 - 1), st.lists(COORDS, min_size=3, max_size=3),
+       st.integers(3 * STEP_BLOCK, 5 * STEP_BLOCK))
+def test_table_stepped_orbits_equal_the_oracle(kind, driver_kind, seed, start, n):
+    rng = np.random.default_rng(seed)
+    system = few_state_system(kind, rng)
+    driver = few_state_driver(driver_kind, rng, system.n_maps, n)
+    x0 = np.array(start[:system.dim])
+    orbit = run_orbit(system, x0, driver, n)
+    expected = oracle_orbit(system, x0, symbols_from(driver, n, system.n_maps))
+    assert same_bits(orbit.points, expected)
+
+
+@pytest.mark.parametrize("driver_kind", ["iid", "disjunctive", "custom"])
+@pytest.mark.parametrize("kind", FEW_STATE_KINDS)
+def test_few_state_orbits_step_by_the_table(kind, driver_kind, tables):
+    rng = np.random.default_rng(5)
+    system = few_state_system(kind, rng)
+    n = 4 * STEP_BLOCK
+    driver = few_state_driver(driver_kind, rng, system.n_maps, n)
+    x0 = np.full(system.dim, -0.0)
+    x0[0] = 0.25
+    orbit = run_orbit(system, x0, driver, n)
+    assert same_bits(orbit.points, oracle_orbit(system, x0, symbols_from(driver, n, system.n_maps)))
+    assert tables and any(table.kept for table in tables)
+
+
+def test_orbit_leaves_the_table_when_it_stops_revisiting(tables):
+    # 600 steps on the square's lines reach its corners; then a rotation by
+    # 1 radian about the square's center finds a new point at every step.
+    system = IFSystem((line([1, 0], 1), line([1, 0], 0), line([0, 1], 1), line([0, 1], 0),
+                       rotation(1.0, np.array([0.5, 0.5]))), 2)
+    symbols = np.concatenate([symbols_from(IidRandom.uniform(3, 4), 600, 4),
+                              np.full(600, 5)])
+    x0 = np.array([0.3, -0.0])
+    orbit = run_orbit(system, x0, symbols, len(symbols))
+    assert same_bits(orbit.points, oracle_orbit(system, x0, symbols))
+    assert len(tables) == 1 and tables[0].kept[0] and not tables[0].kept[-1]
+
+
+def test_solve_stops_inside_a_table_stepped_block(tables):
+    # The triangle's lines are an inconsistent system. Its orbit builds a
+    # table after its first block; tol is the residual of a later point that
+    # no earlier point reaches, first made by a table step.
+    system = LinearSystem([[0, 1], [1, 1], [1, 0]], [0, 1, 0])
+    driver, x0, max_iter = IidRandom.uniform(1, 3), np.array([0.2, 0.6]), 4000
+    full = run_orbit(system_to_ifs(system), x0, driver, max_iter)
+    table = tables.pop()
+    residuals = [system._residual(p) for p in full.points]
+    stop = next(j for j in range(STEP_BLOCK + 1, max_iter + 1)
+                if residuals[j] < min(residuals[:j])
+                and table.ids[full.points[j].tobytes()] >= table.first_stepped)
+    report = solve(system, driver, tol=residuals[stop], max_iter=max_iter, x0=x0)
+    assert report.converged and report.iterations == stop
+    assert same_bits(report.orbit.points, full.points[:stop + 1])
+    assert same_bits(report.orbit.points, oracle_orbit(system_to_ifs(system), x0,
+                                                       full.symbols[:stop]))
+    (table,) = tables
+    assert table.kept and table.ids[report.final_point.tobytes()] >= table.first_stepped
+
+
+def test_table_stepping_memory_stays_within_the_orbit_buffers():
+    system = few_state_system("triangle", None)
+    n = 10**5
+    tracemalloc.start()
+    try:
+        orbit = run_orbit(system, [0.2, 0.6], DisjunctiveEnumeration(3), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= orbit.points.nbytes + orbit.symbols.nbytes + 2**20
+
+
+def test_table_states_grow_by_doubling_on_an_orbit_that_keeps_adding_states(tables):
+    # Each block takes 126 unit steps along the x-axis, all to new states,
+    # then projects onto the axis 130 times: 127 new transitions and 129
+    # known ones, so every table step keeps the table and adds 126 states.
+    system = IFSystem((AffineMap(np.eye(2), [1.0, 0.0]), line([0, 1], 0)), 2)
+    blocks = 200
+    symbols = np.tile(np.repeat([1, 2], [126, 130]), blocks)
+    tracemalloc.start()
+    try:
+        orbit = run_orbit(system, [0.0, 0.0], symbols, len(symbols))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert same_bits(orbit.points[::STEP_BLOCK, 0], 126.0 * np.arange(blocks + 1))
+    (table,) = tables
+    assert len(table.kept) == blocks - 1 and all(table.kept)
+    assert len(table.ids) == 126 * blocks + 1
+    # The states array doubles when full, so it changes size only a
+    # logarithmic number of times and never holds more than twice its states.
+    sizes = sorted(set(table.capacities))
+    assert sizes == [sizes[0] * 2**j for j in range(len(sizes))]
+    assert len(table.ids) <= len(table.states) <= 2 * len(table.ids)
+    # Memory is linear in the states: each costs its row of the states array
+    # at most twice over, its bytes key and its list of transitions.
+    per_state = 2 * orbit.points.itemsize * system.dim + 400
+    assert peak <= orbit.points.nbytes + 2 * orbit.symbols.nbytes + len(table.ids) * per_state + 2**20
