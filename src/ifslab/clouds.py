@@ -47,26 +47,32 @@ def greedy_thin(points, eps):
     than ``eps`` from every point kept so far; kept points come back in
     arrival order.
 
-    Equivalent to the naive one-point-at-a-time scan, block by block: each
-    QUERY_BLOCK of points is first filtered against the points kept from
-    earlier blocks, and its survivors (points farther than ``eps`` from all
-    of those) are then decided by one of two strategies with one output. The
-    scan keeps the first survivor and drops the block's points within ``eps``
-    of it, one kept point per pass. Once the block's kept points outnumber
-    the points they dropped, and if at least GRAPH_MIN_POINTS survivors
-    remain, they go to their conflict graph instead (see
-    :func:`_conflict_graph_keep`), unless that graph has more edges than
-    vertices, in which case the scan goes on.
+    The result equals the naive one-point-at-a-time scan bit for bit: every
+    decision is the scan's own, ``np.linalg.norm`` of a row difference
+    compared with ``eps``. Only the first occurrence of each distinct row is
+    thinned (see :func:`distinct_rows`), since a repeat of an earlier point
+    is dropped by that scan: at distance 0 from it if it was kept, and by
+    the same arithmetic on the same bits if it was not. The points are
+    thinned block by block: the first occurrences in each QUERY_BLOCK of
+    them are first filtered against the points kept from earlier blocks
+    (see :func:`_farther_than`), and the survivors are then decided by one
+    of two strategies with one output. The scan keeps the first survivor and
+    drops the block's points within ``eps`` of it, one kept point per pass.
+    Once the block's kept points outnumber the points they dropped, and if
+    at least GRAPH_MIN_POINTS survivors remain, they go to their conflict
+    graph instead (see :func:`_conflict_graph_keep`), unless that graph has
+    more edges than vertices, in which case the scan goes on.
     """
     # one memory layout, so that the scan and the graph reduce row norms alike
     pts = np.ascontiguousarray(points_of(points))
+    distinct = np.zeros(len(pts), dtype=bool)
+    distinct[distinct_rows(pts)[0]] = True
     kept = []
     for start in range(0, len(pts), QUERY_BLOCK):
         blk = pts[start:start + QUERY_BLOCK]
-        if kept:
-            idx = np.nonzero(nearest_distances(blk, np.asarray(kept)) > eps)[0]
-        else:
-            idx = np.arange(len(blk))
+        idx = np.flatnonzero(distinct[start:start + QUERY_BLOCK])
+        if kept and idx.size:
+            idx = idx[_farther_than(blk[idx], np.asarray(kept), eps)]
         survivors, n_kept, graph_tried = idx.size, 0, False
         while idx.size:
             rep, rest = blk[idx[0]], idx[1:]
@@ -82,6 +88,31 @@ def greedy_thin(points, eps):
                     kept.extend(blk[idx[keep]])
                     break
     return np.asarray(kept)
+
+
+def _farther_than(queries, points, eps):
+    """Whether each query point lies farther than ``eps`` from all of
+    ``points``, as ``np.linalg.norm`` of their row differences says.
+
+    :func:`nearest_distances` screens the queries. Its ``cdist`` sums the
+    squares in another order than ``np.linalg.norm``, and each of the two
+    lies within a relative ``gamma_{d+2}`` of the exact distance of the
+    same row difference, with ``gamma_n = n u / (1 - n u)`` and unit
+    roundoff ``u`` (Higham 2002 section 3.1), plus ``sqrt(d)`` times the
+    root of the smallest subnormal where squares underflow. The margin is
+    at least twice their gap, so a screened distance above ``eps + margin``
+    or at most ``eps - margin`` decides as the norm would; only a query
+    whose nearest screened distance lies between those two is decided by
+    the norm itself. Squares that overflow float64 are beyond this bound.
+    """
+    dmin = nearest_distances(queries, points)
+    d = points.shape[1]
+    nu = (d + 2) * np.finfo(float).eps / 2
+    margin = 4 * (nu / (1 - nu) * eps + np.sqrt(d * np.finfo(float).smallest_subnormal))
+    far = dmin > eps + margin
+    for j in np.flatnonzero(~far & (dmin > eps - margin)).tolist():
+        far[j] = (np.linalg.norm(points - queries[j], axis=1) > eps).all()
+    return far
 
 
 def _conflict_graph_keep(points, eps):
@@ -152,6 +183,52 @@ class PointCloud:
 
     def to_list(self):
         return [[float(c) for c in p] for p in self.points]
+
+
+def distinct_rows(points):
+    """The distinct rows of ``(k, d)`` float64 points, told apart by their
+    bytes, so that ``-0.0`` and ``0.0`` differ: the index of each one's first
+    occurrence, ascending, and the inverse, the distinct row of every row.
+    So ``points[first][inverse]`` is ``points`` bit for bit.
+
+    Rows are grouped by a 64-bit hash of their bits, which needs memory for
+    a few ``k``-vectors only. Every row is then compared with the first row
+    of its group; should two different rows share a hash, all rows are
+    grouped again by their bytes.
+    """
+    rows = np.ascontiguousarray(points)
+    bits = rows.view(np.uint64)
+    first, inverse = _first_occurrences(_row_hashes(bits))
+    if not all(np.array_equal(column[first][inverse], column) for column in bits.T):
+        first, inverse = _first_occurrences(
+            rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel())
+    return first, inverse
+
+
+# Odd, so that multiplying by it permutes the uint64 values: 2^64 over the
+# golden ratio.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_hashes(bits):
+    """A 64-bit hash of each row of ``(k, d)`` uint64 bits: each column is
+    folded in by an xor, a multiply and an xor-shift."""
+    key = np.zeros(len(bits), dtype=np.uint64)
+    for column in bits.T:
+        key ^= column
+        key *= _HASH_MULTIPLIER
+        key ^= key >> np.uint64(32)
+    return key
+
+
+def _first_occurrences(keys):
+    """The index of the first occurrence of each distinct key, ascending,
+    and the index among those of every key."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
 
 
 def points_of(cloud, dim=None, what="cloud"):

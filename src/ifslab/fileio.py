@@ -3,8 +3,9 @@ minimal SVG scatter for 2-d runs.
 
 Floats are written with ``repr`` so every file round-trips bit for bit.
 Writers check their input before they open the file, then stream it one
-line per row; readers parse a file in one pass of its lines, and walk it
-again only to name the line of a non-finite value.
+line per row, formatting each distinct point once; readers parse a file in
+one pass of its lines, each distinct coordinate text once, and walk it again
+only to name the line of a non-finite value.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clouds import PointCloud, points_of
+from .clouds import PointCloud, distinct_rows, points_of
 from .errors import EmptyCloudError, GeometryValidationError
 from .ifs import Orbit
 from .kaczmarz import LinearSystem
@@ -26,12 +27,18 @@ SVG_MARGIN_FRAC = 0.05
 
 def write_orbit_csv(path, orbit):
     """Header ``n,symbol,x1,...,xd``; row 0 carries an empty symbol."""
-    rows = orbit.points.tolist()
+    texts, inverse = _distinct_texts(orbit.points)
     symbols = [""] + orbit.symbols.tolist()
     with open(path, "w") as f:
         f.write("n,symbol," + ",".join(f"x{j + 1}" for j in range(orbit.dim)) + "\n")
-        f.writelines(f"{k},{s},{','.join(map(repr, row))}\n"
-                     for k, (s, row) in enumerate(zip(symbols, rows)))
+        f.writelines(f"{k},{s},{texts[j]}\n" for k, (s, j) in enumerate(zip(symbols, inverse)))
+
+
+def _distinct_texts(points):
+    """The ``repr`` text of each distinct row of ``points``, and the index of
+    every row's text, as a list."""
+    first, inverse = distinct_rows(points)
+    return [",".join(map(repr, row)) for row in points[first].tolist()], inverse.tolist()
 
 
 def read_orbit_csv(path):
@@ -41,23 +48,24 @@ def read_orbit_csv(path):
     return Orbit(points, np.asarray(symbols, dtype=np.int64))
 
 
-def _orbit_row(cells, index):
-    """The symbol and coordinates of the orbit row ``index``: row 0 has an
-    empty symbol and every later row has one."""
+def _orbit_row(line, index):
+    """The symbol and the coordinate text of the orbit row ``index``: row 0
+    has an empty symbol and every later row has one."""
+    cells = line.split(",", 2)
     if len(cells) < 3:
-        raise ValueError(f"malformed orbit row: {','.join(cells)!r}")
-    symbol, coordinates = cells[1], [float(c) for c in cells[2:]]
+        raise ValueError(f"malformed orbit row: {line!r}")
+    symbol = cells[1]
     if index and symbol:
-        return int(symbol), coordinates
+        return int(symbol), cells[2]
     if index or symbol:
         raise ValueError(f"symbol {symbol!r} on row {index}: "
                          "row 0 has an empty symbol and every later row has one")
-    return None, coordinates
+    return None, cells[2]
 
 
-def _float_row(cells, index):
-    """The values of a row of a headerless file, which has no symbol."""
-    return None, [float(c) for c in cells]
+def _float_row(line, index):
+    """A row of a headerless file: no symbol, and only values."""
+    return None, line
 
 
 def _read_rows(path, row, header=None):
@@ -66,16 +74,19 @@ def _read_rows(path, row, header=None):
     one is given; only a headerless file skips empty lines.
 
     A non-finite value raises :class:`GeometryValidationError` naming its
-    line, like any other bad cell. One vectorized test looks for it after
-    the parse, so a malformed line later in the file is named first; only
-    when the test fails is the file walked again to find the line.
+    line, like any other bad cell. One vectorized test of the distinct rows
+    looks for it after the parse, so a malformed line later in the file is
+    named first; only when the test fails is the file walked again to find
+    the line.
     """
-    points, symbols = _walk(path, row, header)
-    points = np.asarray(points)
-    if points.size and not (np.isfinite(points.min()) and np.isfinite(points.max())):
-        bad = int(np.flatnonzero(~np.isfinite(points).all(axis=1))[0])
-        _walk(path, _finite_at(row, bad), header)
-    return points, symbols
+    distinct, index, symbols = _walk(path, row, header)
+    distinct = np.asarray(distinct)
+    if distinct.size and not (np.isfinite(distinct.min()) and np.isfinite(distinct.max())):
+        # distinct rows are numbered as they first occur, so the first
+        # occurrence of the first non-finite one is the first non-finite row
+        first_bad = int(np.flatnonzero(~np.isfinite(distinct).all(axis=1))[0])
+        _walk(path, _finite_at(row, index.index(first_bad)), header)
+    return distinct[np.asarray(index, dtype=np.intp)], symbols
 
 
 def _walk(path, row, header):
@@ -92,18 +103,20 @@ def _walk(path, row, header):
 def _finite_at(row, bad):
     """``row``, rejecting the data row ``bad``, whose values are not all
     finite."""
-    def checked(cells, index):
-        parsed = row(cells, index)
+    def checked(line, index):
         if index == bad:
-            raise ValueError(f"non-finite value in {','.join(cells)!r}")
-        return parsed
+            raise ValueError(f"non-finite value in {line!r}")
+        return row(line, index)
     return checked
 
 
 def _parse_rows(path, lines, row, skip_empty):
-    """The points and symbols of the numbered ``lines`` of a CSV file, each
-    parsed by ``row(cells, index)`` (comma-split cells and data row index to
-    ``(symbol or None, values)``).
+    """The distinct value rows, the index of every data row's values among
+    them, and the symbols of the numbered ``lines`` of a CSV file. Each line
+    is split by ``row(line, index)`` (the line and its data row index to
+    ``(symbol or None, coordinate text)``), and each distinct coordinate
+    text is parsed once: only texts that parsed into a row of the first
+    row's width are remembered.
 
     The first line that ``row`` rejects, or that has another number of values
     than the first row, raises :class:`GeometryValidationError` naming the
@@ -111,33 +124,39 @@ def _parse_rows(path, lines, row, skip_empty):
     and so are empty lines and blank lines before the first row if
     ``skip_empty``; any other blank line is rejected.
     """
-    points, symbols, width = [], [], None
+    distinct, index, symbols, width = [], [], [], None
+    parsed = {}  # coordinate text -> the index of its values in distinct
     for number, line in lines:
         line = line.rstrip("\n")
         try:
-            symbol, values = row(line.split(","), len(points))
-            if len(values) != width:
-                if points:
-                    raise ValueError(f"{len(values)} values, the first row has {width}")
-                width = len(values)
+            symbol, text = row(line, len(index))
+            j = parsed.get(text)
+            if j is None:
+                values = [float(c) for c in text.split(",")]
+                if len(values) != width:
+                    if index:
+                        raise ValueError(f"{len(values)} values, the first row has {width}")
+                    width = len(values)
+                j = parsed[text] = len(distinct)
+                distinct.append(values)
         except ValueError as exc:
             blank = not line.strip()
-            if blank and skip_empty and not (line and points):
+            if blank and skip_empty and not (line and index):
                 continue
             if not blank or any(rest.strip() for _, rest in lines):
                 raise GeometryValidationError(f"{path}, line {number}: {exc}") from None
             break
-        points.append(values)
+        index.append(j)
         if symbol is not None:
             symbols.append(symbol)
-    return points, symbols
+    return distinct, index, symbols
 
 
 def write_cloud_csv(path, cloud):
     """One point per row, no header."""
-    rows = points_of(cloud).tolist()
+    texts, inverse = _distinct_texts(points_of(cloud))
     with open(path, "w") as f:
-        f.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+        f.writelines(texts[j] + "\n" for j in inverse)
 
 
 def read_cloud_csv(path):
@@ -190,12 +209,15 @@ def render_svg_scatter(path, points, highlights=None):
         px[:, 1] = SVG_SIZE - 1 - px[:, 1]
         return px.tolist()
 
+    # one circle per distinct point, written once for each of its rows
+    first, inverse = distinct_rows(pts)
+    circles = [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="#888888" '
+               f'fill-opacity="0.6"/>\n' for x, y in pixels(pts[first])]
     with open(path, "w") as f:
         f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
                 f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
                 f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n')
-        f.writelines(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="#888888" '
-                     f'fill-opacity="0.6"/>\n' for x, y in pixels(pts))
+        f.writelines(circles[j] for j in inverse.tolist())
         f.writelines(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#cc2222"/>\n'
                      for x, y in pixels(hi))
         f.write("</svg>\n")

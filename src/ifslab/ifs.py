@@ -238,12 +238,12 @@ def _iterate(system, x0, blocks, n, stop=None):
     symbols. The current point ``x`` is a view of its row, taken at the start
     of each block, after any growth, so no view of the buffers outlives one.
 
-    Once a block ends on a point it has visited before, the orbit may be
-    running on a finite set of floats, and any later blocks are stepped by a
-    :class:`_StateTable` built from that block, until one of them meets
-    more new transitions than known ones. A kernel is a function of its
-    input's bits and every table entry is a kernel's own image, so the orbit
-    is the same bit for bit.
+    Once a block ends on a point it visited before its last step, the orbit
+    may be running on a finite set of floats, and any later blocks are
+    stepped by a :class:`_StateTable` built from that block, until one of
+    them meets more new transitions than known ones. A kernel is a function
+    of its input's bits and every table entry is a kernel's own image, so
+    the orbit is the same bit for bit.
     """
     kernels = [m.kernel for m in system.maps]
     size = n if stop is None else 0
@@ -267,7 +267,9 @@ def _iterate(system, x0, blocks, n, stop=None):
             x = pts[k]
             for step, row in zip([kernels[i] for i in (block - 1).tolist()], new[1:]):
                 x = step(x, row)
-            if end < n and (new[:-1] == new[-1]).all(1).any():
+            # new[-2] is left out: a last step that maps its input to
+            # itself (an idempotent map, repeated) closes no cycle
+            if end < n and (new[:-2] == new[-1]).all(1).any():
                 table = _StateTable(kernels, new, block)
         elif not table.step(block, new):
             table = None

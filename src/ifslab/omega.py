@@ -14,7 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clouds import QUERY_BLOCK, PointCloud, greedy_thin, nearest_distances, points_of
+from .clouds import (
+    QUERY_BLOCK,
+    PointCloud,
+    distinct_rows,
+    greedy_thin,
+    nearest_distances,
+    points_of,
+)
 from .drivers import describe_driver
 from .errors import DimensionMismatchError, GeometryValidationError
 from .ifs import hutchinson
@@ -233,13 +240,15 @@ def check_monotone_distance(orbit, reference, system=None, base_slack=1e-9):
     hypothesis-unmet instead of asserting monotonicity. Its excess is
     ``sup d(y, C)`` over the images ``y = f_i(p)`` of the cloud's points, or
     of a SegmentSet sampled at ``SAMPLE_SPACING``, measured against ``C``
-    itself: a subinvariant continuum scores ~0.
+    itself: a subinvariant continuum scores ~0. Distances are taken once per
+    distinct orbit point.
     """
     ref = reference if isinstance(reference, (PointCloud, SegmentSet)) \
         else PointCloud(points_of(reference, what="reference"))
     if ref.dim != orbit.dim:
         raise DimensionMismatchError(orbit.dim, ref.dim, "reference")
-    dists = ref.distance_to(orbit.points)
+    first, inverse = distinct_rows(orbit.points)
+    dists = ref.distance_to(orbit.points[first])[inverse]
     d0 = float(dists[0])
     slack = float(base_slack) * (1.0 + d0)
     steps = np.diff(dists)

@@ -154,6 +154,33 @@ def test_svg_bytes_equal_oracle(tmp_path_factory, points, highlights):
                            points, highlights)
 
 
+@st.composite
+def repeated_rows(draw, dim=None):
+    """Up to 60 rows drawn, with repetition, from a few rows of edge values,
+    so that rows equal but for the sign of a zero come up."""
+    rows = draw(point_sets(dim=dim, max_rows=6))
+    return rows[draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=60))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=repeated_rows(), svg_points=repeated_rows(dim=2), data=st.data())
+def test_files_of_repeated_rows_equal_oracle_and_read_back(tmp_path_factory, points,
+                                                          svg_points, data):
+    tmp_path = tmp_path_factory.mktemp("repeats")
+    symbols = data.draw(st.lists(st.integers(1, 9), min_size=len(points) - 1,
+                                 max_size=len(points) - 1))
+    orbit = Orbit(points, np.array(symbols, dtype=np.int64))
+    assert _same_bytes(tmp_path, fileio.write_orbit_csv, oracle_write_orbit_csv, orbit)
+    back = fileio.read_orbit_csv(tmp_path / "ours")
+    assert back.points.tobytes() == points.tobytes()
+    assert np.array_equal(back.symbols, orbit.symbols)
+    assert _same_bytes(tmp_path, fileio.write_cloud_csv, oracle_write_cloud_csv, points)
+    assert fileio.read_cloud_csv(tmp_path / "ours").points.tobytes() == points.tobytes()
+    if not svg_span_overflows(svg_points, None):
+        assert _same_bytes(tmp_path, fileio.render_svg_scatter, oracle_render_svg_scatter,
+                           svg_points)
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_cli_outputs_equal_oracle(tmp_path, name, capsys):
     config, out = tmp_path / "config.json", tmp_path / "out"

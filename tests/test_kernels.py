@@ -3,13 +3,17 @@ buffer, the ball and box point paths without numpy's wrappers, and orbits
 stepped by a table of the states they revisit give bit for bit the orbits and
 images of the kernels they replaced (kept below as oracles)."""
 
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import ifslab
 from ifslab import (
     AffineMap,
     Ball,
@@ -334,6 +338,50 @@ def test_orbit_leaves_the_table_when_it_stops_revisiting(tables):
     orbit = run_orbit(system, x0, symbols, len(symbols))
     assert same_bits(orbit.points, oracle_orbit(system, x0, symbols))
     assert len(tables) == 1 and tables[0].kept[0] and not tables[0].kept[-1]
+
+
+def test_a_repeated_idempotent_last_step_builds_no_table(tables):
+    # Alternating projections onto two lines at a small angle approach their
+    # intersection without reaching it. Every block ends by projecting twice
+    # onto the x-axis, which maps its own image to itself: a revisit of the
+    # block's last point, but no cycle.
+    system = IFSystem((line([0, 1], 0), line([0.1, 1], 0)), 2)
+    symbols = np.tile([1, 2], 2 * STEP_BLOCK)
+    symbols[STEP_BLOCK - 1::STEP_BLOCK] = 1
+    x0 = np.array([1.0, 1.0])
+    orbit = run_orbit(system, x0, symbols, len(symbols))
+    assert same_bits(orbit.points, oracle_orbit(system, x0, symbols))
+    assert (orbit.points[STEP_BLOCK - 1] == orbit.points[STEP_BLOCK]).all()
+    assert not tables
+
+
+def benchmark_workloads():
+    """The benchmark's workload builders, bench/workloads.py of this checkout."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+# The kaczmarz benchmark solves at seed 7 whose first kernel-stepped blocks
+# end by repeating an idempotent row projection (symbols like [10, 20, 20]),
+# and those that did so when their revisit test was first measured.
+SELF_LOOP_SOLVES = ["consistent-d20-iid-3", "consistent-d30-iid-5", "consistent-d20-iid-7",
+                    "consistent-d50-iid-3", "consistent-d50-iid-4", "inconsistent-200x50-iid"]
+
+
+def test_kaczmarz_benchmark_solves_build_no_table(tables, tmp_path):
+    tasks = {task.name: task for task in benchmark_workloads().build("kaczmarz", ifslab, 7,
+                                                                      tmp_path)}
+    reports = {name: task.run({}) for name, task in tasks.items()}
+    assert not tables
+    for name in SELF_LOOP_SOLVES:
+        system = tasks[name].run.args[1]
+        orbit = reports[name].orbit
+        assert same_bits(orbit.points,
+                         oracle_orbit(system_to_ifs(system), orbit.x0, orbit.symbols))
 
 
 def test_solve_stops_inside_a_table_stepped_block(tables):

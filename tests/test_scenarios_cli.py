@@ -279,8 +279,16 @@ ORBIT_HEAD = "n,symbol,x1,x2\n0,,0.5,0.25\n"
     (ORBIT_HEAD + "1,1,nan,0.25\n", GeometryValidationError, 3),     # a NaN coordinate
     ("\nn,symbol,x1,x2\n0,,-inf,0.25\n1,1,0.5,0.25\n", GeometryValidationError, 3),  # -inf
     (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,0.5,1e999\n", GeometryValidationError, 4),  # overflow
+    # bad lines whose coordinate text repeats that of earlier good rows
+    (ORBIT_HEAD + "1,1,0.5,0.25\n2,x,0.5,0.25\n", GeometryValidationError, 4),
+    (ORBIT_HEAD + "1,1,0.5,0.25\n2,0.5,0.25\n", GeometryValidationError, 4),  # no symbol cell
+    (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,0.5\n", GeometryValidationError, 4),  # a prefix of them
+    # one non-finite coordinate text on several lines, after another one
+    (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,nan,0.25\n3,1,0.5,-inf\n4,2,nan,0.25\n",
+     GeometryValidationError, 4),
 ], ids=["cell", "symbol", "ragged", "blank", "offset", "empty", "row0-symbol", "no-symbol",
-        "nan", "inf", "overflow"])
+        "nan", "inf", "overflow", "repeat-symbol", "repeat-no-symbol", "repeat-short",
+        "repeat-nonfinite"])
 def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "orbit.csv"
     path.write_text(text)
@@ -298,7 +306,13 @@ def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     ("1.0,2.0\n \n3.0,4.0\n", GeometryValidationError, 2),  # only empty lines are skipped
     ("1.0,2.0\n3.0,inf\n", GeometryValidationError, 2),
     ("\n\n1.0,2.0\n\nNaN,4.0\n", GeometryValidationError, 5),
-], ids=["cell", "ragged", "offset", "empty", "blank", "whitespace", "inf", "nan"])
+    # a ragged line made of the cells of earlier good rows
+    ("1.0,2.0\n3.0,4.0\n1.0,2.0\n1.0\n", GeometryValidationError, 4),
+    ("1.0,2.0\n3.0,4.0\n1.0,2.0,3.0,4.0\n", GeometryValidationError, 3),
+    # one non-finite row text on several lines
+    ("1.0,2.0\n3.0,inf\n1.0,2.0\n3.0,inf\n", GeometryValidationError, 2),
+], ids=["cell", "ragged", "offset", "empty", "blank", "whitespace", "inf", "nan",
+        "repeat-short", "repeat-long", "repeat-nonfinite"])
 def test_cloud_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "cloud.csv"
     path.write_text(text)
@@ -313,7 +327,11 @@ def test_cloud_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     ("1.0,0.0,2.0\n\n\n0.0,1.0,1.0,\n", 4),
     ("1.0,0.0,2.0\n0.0,1.0,nan\n", 2),
     ("\n1.0,0.0,2.0\n0.0,-inf,1.0\n", 3),
-], ids=["cell", "ragged", "offset", "nan", "inf"])
+    # a ragged line made of the cells of an earlier good row
+    ("1.0,0.0,2.0\n0.0,1.0,1.0\n1.0,0.0,2.0\n1.0,0.0\n", 4),
+    # one non-finite row text on several lines, the first after a good repeat
+    ("1.0,0.0,2.0\n1.0,0.0,2.0\n0.0,nan,1.0\n1.0,0.0,2.0\n0.0,nan,1.0\n", 3),
+], ids=["cell", "ragged", "offset", "nan", "inf", "repeat-ragged", "repeat-nonfinite"])
 def test_linear_system_csv_faults_name_the_file_and_line(tmp_path, text, line):
     path = tmp_path / "system.csv"
     path.write_text(text)

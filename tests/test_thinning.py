@@ -29,6 +29,7 @@ from ifslab.clouds import (
     DEDUP_TOL,
     GRAPH_MIN_POINTS,
     QUERY_BLOCK,
+    distinct_rows,
     nearest_distances,
     points_of,
 )
@@ -46,7 +47,9 @@ def naive_thin(points, eps):
 
 
 # The block scan alone, verbatim as greedy_thin ran it before the conflict
-# graph: the reference that the two-strategy greedy_thin must equal.
+# graph. It decides across blocks by cdist and inside a block by
+# np.linalg.norm, two arithmetics that differ in the last bits; greedy_thin
+# equals it except at such ties.
 def scan_thin(points, eps):
     """Arrival-order greedy thinning: keep a point iff it lies strictly farther
     than ``eps`` from every point kept so far.
@@ -104,6 +107,55 @@ def systems_2d(draw):
 def test_greedy_thin_equals_one_point_at_a_time_scan(points, eps):
     # up to 5000 points: more than one 2048-point block
     assert np.array_equal(greedy_thin(points, eps), naive_thin(points, eps))
+
+
+def planted_tie(seed=0, dim=50):
+    """``q, p``, then QUERY_BLOCK far points, then ``p`` again, with ``eps``
+    the distance of ``p`` and ``q`` as ``np.linalg.norm`` takes it, for a pair
+    that ``cdist`` puts an ulp farther apart. Returns ``(points, eps)``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        q, p = rng.standard_normal((2, dim))
+        eps = float(np.linalg.norm([p - q], axis=1)[0])
+        if cdist([p], [q])[0, 0] > eps:
+            far = 100 * rng.standard_normal((QUERY_BLOCK, dim))
+            return np.vstack([q, p, far, p]), eps
+
+
+PLANTED_TIE = planted_tie()
+
+
+@st.composite
+def tied_clouds(draw):
+    """Repeats, in up to three blocks, of a few distinct points in d = 2 to
+    64, thinned at the distance of two of them as ``cdist`` or as
+    ``np.linalg.norm`` takes it. Returns ``(points, eps)``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    distinct = rng.standard_normal((draw(st.integers(2, 30)), draw(st.integers(2, 64))))
+    pair = distinct[rng.choice(len(distinct), 2, replace=False)]
+    if draw(st.booleans()):
+        eps = cdist(pair[:1], pair[1:])[0, 0]
+    else:
+        eps = np.linalg.norm(pair[:1] - pair[1], axis=1)[0]
+    size = draw(st.integers(1, 2 * QUERY_BLOCK + 100))
+    return distinct[rng.integers(0, len(distinct), size=size)], float(eps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tied_clouds())
+@example(PLANTED_TIE)
+def test_greedy_thin_equals_one_point_at_a_time_scan_at_ties(cloud):
+    points, eps = cloud
+    assert np.array_equal(greedy_thin(points, eps), naive_thin(points, eps))
+
+
+def test_greedy_thin_leaves_the_block_scan_at_a_planted_tie():
+    points, eps = PLANTED_TIE
+    kept = greedy_thin(points, eps)
+    assert np.array_equal(kept, naive_thin(points, eps)) and len(kept) == QUERY_BLOCK + 1
+    # The block scan decides the repeat of p, in the second block, by cdist
+    # against q and keeps it.
+    assert len(scan_thin(points, eps)) == QUERY_BLOCK + 2
 
 
 def test_greedy_thin_memory_is_bounded_by_blocks():
@@ -175,6 +227,50 @@ def test_greedy_thin_equals_block_scan_on_clouds_with_repeats(points, eps):
     assert np.array_equal(greedy_thin(points, eps), scan_thin(points, eps))
 
 
+@settings(max_examples=20, deadline=None)
+@given(sparse_clouds(max_size=2 * QUERY_BLOCK), st.integers(0, 2**32 - 1), st.integers(1, 500))
+def test_repeats_interleaved_across_blocks_change_nothing(cloud, seed, repeats):
+    points, eps = cloud
+    rng = np.random.default_rng(seed)
+    # each repeat goes before original row `at`, after its original `source`,
+    # a few of them at the first block boundary
+    at = np.concatenate([rng.integers(1, len(points) + 1, size=repeats),
+                         np.minimum(len(points), QUERY_BLOCK + np.arange(-2, 3))])
+    source = rng.integers(0, at)
+    repeated = np.insert(points, at, points[source], axis=0)
+    assert np.array_equal(greedy_thin(repeated, eps), greedy_thin(points, eps))
+
+
+SIGNED_VALUES = np.array([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, -5e-324])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 300))
+def test_distinct_rows_are_first_occurrences_by_bytes(seed, dim, n):
+    rng = np.random.default_rng(seed)
+    points = rng.choice(SIGNED_VALUES, size=(n, dim))
+    first, inverse = distinct_rows(points)
+    assert np.all(np.diff(first) > 0)
+    assert points[first][inverse].tobytes() == points.tobytes()
+    keys = [row.tobytes() for row in points]
+    assert len(set(keys)) == len(first)
+    assert [keys.index(key) for key in keys] == first[inverse].tolist()
+
+
+def test_distinct_rows_survive_hash_collisions(monkeypatch):
+    points = np.random.default_rng(3).choice(SIGNED_VALUES, size=(500, 3))
+    expected = distinct_rows(points)
+    monkeypatch.setattr(clouds, "_row_hashes", lambda bits: np.zeros(len(bits), dtype=np.uint64))
+    first, inverse = distinct_rows(points)
+    assert np.array_equal(first, expected[0]) and np.array_equal(inverse, expected[1])
+    assert len(first) > 1
+
+
+def test_distinct_rows_tell_signed_zeros_apart():
+    first, inverse = distinct_rows(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0]]))
+    assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1, 0]
+
+
 @pytest.fixture
 def graph_calls(monkeypatch):
     """Records, for each conflict graph greedy_thin tries, its vertex count
@@ -203,8 +299,12 @@ def test_sparse_blocks_are_decided_on_the_conflict_graph(graph_calls, n, planted
 
 
 def _isolated_then_coincident():
+    """Three isolated points, then 2000 distinct points that coincide to a few
+    ulps: greedy_thin thins distinct rows, so exact copies would be one row."""
     rng = np.random.default_rng(10)
-    return np.vstack([rng.standard_normal((3, 50)), np.tile(rng.standard_normal(50), (2000, 1))])
+    centre = rng.standard_normal(50)
+    jitter = rng.integers(-3, 4, size=(2000, 50)) * np.spacing(centre)
+    return np.vstack([rng.standard_normal((3, 50)), centre + jitter])
 
 
 def _isolated_then_dense_2d():
@@ -285,6 +385,26 @@ def test_hypothesis_excess_of_a_segment_set_equals_naive_loop(system, seed, k):
     naive = naive_hypothesis_excess(system, naive_samples(starts, ends),
                                     lambda y: naive_segment_distance(y, starts, ends))
     assert report.hypothesis_excess == pytest.approx(naive, rel=1e-12, abs=1e-14)
+
+
+CUBE_3D = IFSystem(tuple(HyperplaneProjection(Hyperplane(np.eye(3)[i], c))
+                         for i in range(3) for c in (0, 1))
+                   + (HyperplaneProjection(Hyperplane([1, 2, 2], 1)),), 3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.one_of(systems_2d(), st.just(CUBE_3D)), st.integers(0, 2**32 - 1),
+       st.integers(1, 3000))
+@example(CUBE_3D, 1, 2 * QUERY_BLOCK + 5)
+def test_monotone_distances_taken_per_distinct_point_equal_per_row(system, seed, steps):
+    rng = np.random.default_rng(seed)
+    orbit = run_orbit(system, rng.standard_normal(system.dim),
+                      IidRandom.uniform(seed, system.n_maps), steps)
+    segments = SegmentSet(rng.uniform(-1, 1, (3, system.dim)),
+                          rng.uniform(-1, 1, (3, system.dim)))
+    for ref in (PointCloud(rng.standard_normal((5, system.dim))), segments):
+        report = check_monotone_distance(orbit, ref)
+        assert report.distances.tobytes() == ref.distance_to(orbit.points).tobytes()
 
 
 def test_point_cloud_keeps_coincident_points():
