@@ -4,8 +4,7 @@ minimal SVG scatter for 2-d runs.
 Floats are written with ``repr`` so every file round-trips bit for bit.
 Writers check their input before they open the file, then stream it one
 line per row, formatting each distinct point once; readers parse a file in
-one pass of its lines, each distinct coordinate text once, and walk it again
-only to name the line of a non-finite value.
+one pass of its lines, each distinct coordinate text once.
 """
 
 from __future__ import annotations
@@ -76,47 +75,34 @@ def _read_rows(path, row, header=None):
     A non-finite value raises :class:`GeometryValidationError` naming its
     line, like any other bad cell. One vectorized test of the distinct rows
     looks for it after the parse, so a malformed line later in the file is
-    named first; only when the test fails is the file walked again to find
-    the line.
+    named first.
     """
-    distinct, index, symbols = _walk(path, row, header)
-    distinct = np.asarray(distinct)
-    if distinct.size and not (np.isfinite(distinct.min()) and np.isfinite(distinct.max())):
-        # distinct rows are numbered as they first occur, so the first
-        # occurrence of the first non-finite one is the first non-finite row
-        first_bad = int(np.flatnonzero(~np.isfinite(distinct).all(axis=1))[0])
-        _walk(path, _finite_at(row, index.index(first_bad)), header)
-    return distinct[np.asarray(index, dtype=np.intp)], symbols
-
-
-def _walk(path, row, header):
-    """One pass of the file: the header check, then :func:`_parse_rows`."""
     with open(path) as f:
         lines = enumerate(f, 1)
         if header is not None:
             first = next((line for _, line in lines if line.strip()), "")
             if not first.lstrip().startswith(header):
                 raise GeometryValidationError(f"{path}: not an orbit CSV (missing header)")
-        return _parse_rows(path, lines, row, skip_empty=header is None)
-
-
-def _finite_at(row, bad):
-    """``row``, rejecting the data row ``bad``, whose values are not all
-    finite."""
-    def checked(line, index):
-        if index == bad:
-            raise ValueError(f"non-finite value in {line!r}")
-        return row(line, index)
-    return checked
+        distinct, first_lines, index, symbols = _parse_rows(path, lines, row,
+                                                            skip_empty=header is None)
+    distinct = np.asarray(distinct)
+    if distinct.size and not (np.isfinite(distinct.min()) and np.isfinite(distinct.max())):
+        # distinct rows are numbered as they first occur, so the first
+        # non-finite one is on the first line with a non-finite value
+        bad = int(np.flatnonzero(~np.isfinite(distinct).all(axis=1))[0])
+        raise GeometryValidationError(f"{path}, line {first_lines[bad]}: "
+                                      f"non-finite value in {distinct[bad].tolist()}")
+    return distinct[np.asarray(index, dtype=np.intp)], symbols
 
 
 def _parse_rows(path, lines, row, skip_empty):
-    """The distinct value rows, the index of every data row's values among
-    them, and the symbols of the numbered ``lines`` of a CSV file. Each line
-    is split by ``row(line, index)`` (the line and its data row index to
-    ``(symbol or None, coordinate text)``), and each distinct coordinate
-    text is parsed once: only texts that parsed into a row of the first
-    row's width are remembered.
+    """The distinct value rows, the line number of each one's first
+    occurrence, the index of every data row's values among them, and the
+    symbols of the numbered ``lines`` of a CSV file. Each line is split by
+    ``row(line, index)`` (the line and its data row index to ``(symbol or
+    None, coordinate text)``), and each distinct coordinate text is parsed
+    once: only texts that parsed into a row of the first row's width are
+    remembered.
 
     The first line that ``row`` rejects, or that has another number of values
     than the first row, raises :class:`GeometryValidationError` naming the
@@ -124,7 +110,7 @@ def _parse_rows(path, lines, row, skip_empty):
     and so are empty lines and blank lines before the first row if
     ``skip_empty``; any other blank line is rejected.
     """
-    distinct, index, symbols, width = [], [], [], None
+    distinct, first_lines, index, symbols, width = [], [], [], [], None
     parsed = {}  # coordinate text -> the index of its values in distinct
     for number, line in lines:
         line = line.rstrip("\n")
@@ -139,6 +125,7 @@ def _parse_rows(path, lines, row, skip_empty):
                     width = len(values)
                 j = parsed[text] = len(distinct)
                 distinct.append(values)
+                first_lines.append(number)
         except ValueError as exc:
             blank = not line.strip()
             if blank and skip_empty and not (line and index):
@@ -149,7 +136,7 @@ def _parse_rows(path, lines, row, skip_empty):
         index.append(j)
         if symbol is not None:
             symbols.append(symbol)
-    return distinct, index, symbols
+    return distinct, first_lines, index, symbols
 
 
 def write_cloud_csv(path, cloud):

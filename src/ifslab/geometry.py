@@ -6,6 +6,12 @@ single point of shape ``(d,)`` or a stack of points of shape ``(k, d)`` and
 return the matching shape. All functions are pure; the geometric objects are
 immutable and safe to share between threads.
 
+Each set is also the IFS generator that projects onto it (see
+``ifs.MapSpec``): ``kernel`` is its unvalidated ``project``, ``apply`` the
+validated ``project_*`` function, and ``linear_part()`` the orthogonal
+projector of a hyperplane or subspace, or ``None`` for a convex body, whose
+projection is only piecewise affine.
+
 The unvalidated ``project`` methods take an optional ``out``, a float64 array
 of the result's shape: the image is written into it and ``out`` is returned.
 ``out`` must not alias ``p``. The arithmetic is the same with or without it.
@@ -94,6 +100,15 @@ class Hyperplane:
         ``p - ((a.p - b)/|a|^2) a``."""
         return _move_along(p, self.normal, (p.dot(self.normal) - self.offset) / self._aa, out)
 
+    kernel = project
+
+    def apply(self, x):
+        return project_hyperplane(x, self)
+
+    def linear_part(self):
+        a = self.normal
+        return np.eye(self.dim) - np.outer(a, a) / self._aa
+
 
 @dataclass(frozen=True, eq=False)
 class AffineSubspace:
@@ -132,6 +147,14 @@ class AffineSubspace:
             return np.positive(np.broadcast_to(self.anchor, p.shape), out=out)
         return np.add(self.anchor, ((p - self.anchor) @ self.basis.T) @ self.basis, out=out)
 
+    kernel = project
+
+    def apply(self, x):
+        return project_affine_subspace(x, self)
+
+    def linear_part(self):
+        return self.basis.T @ self.basis
+
     @classmethod
     def single_point(cls, point):
         p = as_vector(point)
@@ -167,8 +190,21 @@ class AffineSubspace:
         return cls(x0, vt[rank:])
 
 
+class ConvexBody:
+    """Base of the convex bodies accepted by :func:`project_convex`, with the
+    generator methods they share. A metric projection onto a general convex
+    body is only piecewise affine, so it has no global linear part."""
+
+    def apply(self, x):
+        # looked up at call time, so a wrapper set on the module sees each call
+        return project_convex(x, self)
+
+    def linear_part(self):
+        return None
+
+
 @dataclass(frozen=True, eq=False)
-class Halfspace:
+class Halfspace(ConvexBody):
     """The set ``{x : normal . x <= offset}``."""
 
     normal: np.ndarray
@@ -187,9 +223,11 @@ class Halfspace:
         t = np.maximum((p.dot(self.normal) - self.offset) / self._aa, 0.0)
         return _move_along(p, self.normal, t, out)
 
+    kernel = project
+
 
 @dataclass(frozen=True, eq=False)
-class Ball:
+class Ball(ConvexBody):
     center: np.ndarray
     radius: float
 
@@ -224,9 +262,11 @@ class Ball:
         np.divide(self.radius, dist, out=scale, where=dist > self.radius)
         return np.add(self.center, scale[:, None] * rel, out=out)
 
+    kernel = project
+
 
 @dataclass(frozen=True, eq=False)
-class Box:
+class Box(ConvexBody):
     lower: np.ndarray
     upper: np.ndarray
 
@@ -248,9 +288,7 @@ class Box:
         wrapper)."""
         return p.clip(self.lower, self.upper, out=out)
 
-
-#: Convex bodies accepted by :func:`project_convex`.
-ConvexBody = (Halfspace, Ball, Box)
+    kernel = project
 
 
 def _move_along(p, normal, t, out=None):

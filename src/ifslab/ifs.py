@@ -2,6 +2,9 @@
 Hutchinson operator on finite clouds, and Lipschitz diagnostics for
 composition words.
 
+A generator is a set of :mod:`geometry`, standing for the metric projection
+onto it, or an :class:`AffineMap` (see ``MapSpec``).
+
 Symbols are 1-based: the driver value ``i`` selects ``maps[i - 1]``. A word
 ``(u_1, ..., u_l)`` denotes the composition that applies ``u_1`` first.
 """
@@ -26,75 +29,14 @@ DEGENERATE_PAIR_TOL = 1e-12
 # a caller, and the test for a revisited point that starts table stepping.
 STEP_BLOCK = 256
 
+# Symbols read from a driver at a time by run_orbit and kaczmarz.solve; a
+# multiple of STEP_BLOCK, so step blocks do not depend on it.
+SYMBOL_BLOCK = 4096
+
 
 def spectral_norm(matrix):
     """Largest singular value: the operator 2-norm, by SVD."""
     return float(np.linalg.norm(np.asarray(matrix, dtype=float), 2))
-
-
-@dataclass(frozen=True, eq=False)
-class HyperplaneProjection:
-    plane: geometry.Hyperplane
-
-    @property
-    def dim(self):
-        return self.plane.dim
-
-    @property
-    def kernel(self):
-        return self.plane.project
-
-    def apply(self, x):
-        return geometry.project_hyperplane(x, self.plane)
-
-    def linear_part(self):
-        a = self.plane.normal
-        return np.eye(self.dim) - np.outer(a, a) / (a @ a)
-
-
-@dataclass(frozen=True, eq=False)
-class SubspaceProjection:
-    subspace: geometry.AffineSubspace
-
-    @property
-    def dim(self):
-        return self.subspace.dim
-
-    @property
-    def kernel(self):
-        return self.subspace.project
-
-    def apply(self, x):
-        return geometry.project_affine_subspace(x, self.subspace)
-
-    def linear_part(self):
-        basis = self.subspace.basis
-        return basis.T @ basis
-
-
-@dataclass(frozen=True, eq=False)
-class ConvexProjection:
-    body: object
-
-    def __post_init__(self):
-        if not isinstance(self.body, geometry.ConvexBody):
-            raise GeometryValidationError(f"not a convex body: {type(self.body).__name__}")
-
-    @property
-    def dim(self):
-        return self.body.dim
-
-    @property
-    def kernel(self):
-        return self.body.project
-
-    def apply(self, x):
-        return geometry.project_convex(x, self.body)
-
-    def linear_part(self):
-        # Metric projections onto general convex bodies are only piecewise
-        # affine; there is no global linear part.
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,12 +81,37 @@ class AffineMap:
         return self.matrix
 
 
-#: Generator variants accepted by IFSystem. Each has ``apply``, which
-#: validates its input, and ``kernel``, the same arithmetic unvalidated, which
-#: orbit steps use; so orbit points equal repeated ``apply`` bit for bit.
+#: Generator variants accepted by IFSystem: the sets of :mod:`geometry`, each
+#: the projection onto itself, and affine maps. Each has ``dim``; ``apply``,
+#: which validates its input; ``kernel``, the same arithmetic unvalidated,
+#: which orbit steps use, so orbit points equal repeated ``apply`` bit for
+#: bit; and ``linear_part()``, the matrix of an affine generator or ``None``.
 #: ``kernel(p, out=None)`` writes the image into ``out`` when given and
 #: returns it; ``out`` must not alias ``p``.
-MapSpec = (HyperplaneProjection, SubspaceProjection, ConvexProjection, AffineMap)
+MapSpec = (geometry.Hyperplane, geometry.AffineSubspace, geometry.ConvexBody, AffineMap)
+
+
+def _projection_onto(shape, kinds, what):
+    """``shape``, checked to be one of ``kinds``: the projection generator
+    onto a set is the set itself."""
+    if not isinstance(shape, kinds):
+        raise GeometryValidationError(f"not {what}: {type(shape).__name__}")
+    return shape
+
+
+def HyperplaneProjection(plane):
+    """The projection onto a :class:`geometry.Hyperplane`: the plane."""
+    return _projection_onto(plane, geometry.Hyperplane, "a hyperplane")
+
+
+def SubspaceProjection(subspace):
+    """The projection onto a :class:`geometry.AffineSubspace`: the subspace."""
+    return _projection_onto(subspace, geometry.AffineSubspace, "an affine subspace")
+
+
+def ConvexProjection(body):
+    """The projection onto a halfspace, ball or box: the body."""
+    return _projection_onto(body, geometry.ConvexBody, "a convex body")
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,7 +320,7 @@ def _used(pts, syms, k):
 def run_orbit(system, x0, driver, n):
     """Iterate the system for ``n`` steps from ``x0`` under the given driver:
     a spec, a stream, or any integer sequence (see
-    :func:`drivers.symbol_blocks`).
+    :func:`drivers.symbol_blocks`), read ``SYMBOL_BLOCK`` symbols at a time.
 
     Deterministic: repeated calls with equal inputs reproduce the points bit
     for bit.
@@ -361,7 +328,8 @@ def run_orbit(system, x0, driver, n):
     start = geometry.as_vector(x0, dim=system.dim)
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    return _iterate(system, start, [symbols_from(driver, n, system.n_maps)], n)
+    blocks = drivers.symbol_blocks(driver, n, system.n_maps, SYMBOL_BLOCK)
+    return _iterate(system, start, blocks, n)
 
 
 def hutchinson(system, cloud):

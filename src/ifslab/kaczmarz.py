@@ -15,7 +15,7 @@ import numpy as np
 from .drivers import describe_driver, symbol_blocks
 from .errors import GeometryValidationError
 from .geometry import Hyperplane, as_vector
-from .ifs import IFSystem, HyperplaneProjection, Orbit, _iterate
+from .ifs import SYMBOL_BLOCK, IFSystem, Orbit, _iterate
 from .omega import OmegaEstimate, estimate_omega
 
 MIN_ROW_NORM = 1e-12
@@ -23,9 +23,6 @@ MIN_ROW_NORM = 1e-12
 # Normals count as parallel when their unit vectors differ (up to sign) by
 # less than this.
 PARALLEL_ANGLE_TOL = 1e-10
-
-# Symbols drawn from the driver at a time by solve.
-SYMBOL_BLOCK = 4096
 
 # The screen passes every point whose residual may be within tol:
 # SCREEN_SLACK * gamma_{d+2} * (|p| + max |b_i|/|a_i|) bounds twice over how
@@ -103,9 +100,8 @@ class LinearSystem:
 
 def system_to_ifs(system):
     """One hyperplane projection per row, row order preserved."""
-    maps = tuple(HyperplaneProjection(system.row_hyperplane(i + 1))
-                 for i in range(system.n_rows))
-    return IFSystem(maps, system.dim)
+    return IFSystem(tuple(system.row_hyperplane(i + 1) for i in range(system.n_rows)),
+                    system.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +136,7 @@ def solve(system, driver, tol, max_iter, x0=None):
     residual drops to ``tol`` or ``max_iter`` steps have run.
 
     The driver is a spec, a stream, or any integer sequence; its symbols are
-    drawn in blocks of ``SYMBOL_BLOCK`` as the run goes. The stop test runs
+    drawn in blocks of ``ifs.SYMBOL_BLOCK`` as the run goes. The stop test runs
     on ``x0`` and then once per ``ifs.STEP_BLOCK`` steps, on all of the block's
     points (see :meth:`LinearSystem._first_within`); the orbit ends at the
     first point within ``tol``. So the stop, the orbit and the report are

@@ -45,23 +45,20 @@ def map_from_dict(d, dim, where):
     kind = _get(d, "kind", where, required=True)
     try:
         if kind == "hyperplane":
-            plane = geometry.Hyperplane(d["normal"], d["offset"])
-            return ifs.HyperplaneProjection(plane)
+            return geometry.Hyperplane(d["normal"], d["offset"])
         if kind == "affine_subspace":
             if "constraints" in d:
                 c = d["constraints"]
-                sub = geometry.AffineSubspace.from_constraints(c["normals"], c["offsets"])
-            elif "basis" in d:
-                sub = geometry.AffineSubspace(d["anchor"], np.asarray(d["basis"], dtype=float))
-            else:
-                sub = geometry.AffineSubspace.spanned_by(d["anchor"], d.get("directions", []))
-            return ifs.SubspaceProjection(sub)
+                return geometry.AffineSubspace.from_constraints(c["normals"], c["offsets"])
+            if "basis" in d:
+                return geometry.AffineSubspace(d["anchor"], np.asarray(d["basis"], dtype=float))
+            return geometry.AffineSubspace.spanned_by(d["anchor"], d.get("directions", []))
         if kind == "halfspace":
-            return ifs.ConvexProjection(geometry.Halfspace(d["normal"], d["offset"]))
+            return geometry.Halfspace(d["normal"], d["offset"])
         if kind == "ball":
-            return ifs.ConvexProjection(geometry.Ball(d["center"], d["radius"]))
+            return geometry.Ball(d["center"], d["radius"])
         if kind == "box":
-            return ifs.ConvexProjection(geometry.Box(d["lower"], d["upper"]))
+            return geometry.Box(d["lower"], d["upper"])
         if kind == "affine":
             return ifs.AffineMap(np.asarray(d["matrix"], dtype=float), d["shift"])
     except KeyError as exc:

@@ -250,6 +250,31 @@ def test_composition_exact_unavailable_for_convex_bodies():
     assert composition_lipschitz_exact(sys_mixed, (1,)) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("wrap, wrong", [
+    (HyperplaneProjection, lambda: Halfspace([1, 0], 0)),
+    (HyperplaneProjection, lambda: AffineSubspace.single_point([0, 0])),
+    (SubspaceProjection, lambda: Hyperplane([1, 0], 0)),
+    (SubspaceProjection, lambda: Ball([0, 0], 1.0)),
+    (ConvexProjection, lambda: Hyperplane([1, 0], 0)),
+    (ConvexProjection, lambda: AffineSubspace.single_point([0, 0])),
+], ids=["hyperplane-of-halfspace", "hyperplane-of-subspace", "subspace-of-hyperplane",
+        "subspace-of-ball", "convex-of-hyperplane", "convex-of-subspace"])
+def test_projection_names_reject_the_wrong_set(wrap, wrong):
+    with pytest.raises(GeometryValidationError):
+        wrap(wrong())
+
+
+def test_the_sets_are_the_generators():
+    plane, body = Hyperplane([1, 0], 0), Halfspace([1, 0], 0)
+    assert HyperplaneProjection(plane) is plane and ConvexProjection(body) is body
+    # a halfspace's projection has no global linear part, however it is named
+    assert composition_lipschitz_exact(IFSystem((body,), 2), [1]) is None
+    assert composition_lipschitz_exact(IFSystem((plane,), 2), [1]) == 1.0
+    assert np.array_equal(plane.linear_part(), [[0.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(GeometryValidationError, match="not a generator: PointCloud"):
+        IFSystem((PointCloud.of([0.0, 0.0]),), 2)
+
+
 def test_composition_exact_validates_word():
     with pytest.raises(ValueError):
         composition_lipschitz_exact(square_system(), ())

@@ -51,7 +51,7 @@ def test_system_to_ifs_maps_rows_in_order():
     ifs_sys = system_to_ifs(sys_lin)
     assert ifs_sys.n_maps == 3 and ifs_sys.dim == 2
     for i in range(3):
-        assert np.array_equal(ifs_sys.maps[i].plane.normal, sys_lin.coefficients[i])
+        assert np.array_equal(ifs_sys.maps[i].normal, sys_lin.coefficients[i])
 
 
 def test_row_projection_onto_axis():

@@ -82,18 +82,12 @@ def oracle_affine(self, p):
 
 
 ORACLES = {Hyperplane: oracle_hyperplane, AffineSubspace: oracle_subspace,
-           Halfspace: oracle_halfspace, Ball: oracle_ball, Box: oracle_box}
-
-# The attribute holding the set each projection generator projects onto.
-SHAPES = {HyperplaneProjection: "plane", SubspaceProjection: "subspace",
-          ConvexProjection: "body"}
+           Halfspace: oracle_halfspace, Ball: oracle_ball, Box: oracle_box,
+           AffineMap: oracle_affine}
 
 
 def oracle_kernel(generator):
-    if isinstance(generator, AffineMap):
-        return lambda p: oracle_affine(generator, p)
-    shape = getattr(generator, SHAPES[type(generator)])
-    return lambda p: ORACLES[type(shape)](shape, p)
+    return lambda p: ORACLES[type(generator)](generator, p)
 
 
 def oracle_orbit(system, x0, symbols):
@@ -414,7 +408,7 @@ def test_table_stepping_memory_stays_within_the_orbit_buffers():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= orbit.points.nbytes + orbit.symbols.nbytes + 2**20
+    assert peak <= orbit.points.nbytes + orbit.symbols.nbytes + 2**19
 
 
 def test_table_states_grow_by_doubling_on_an_orbit_that_keeps_adding_states(tables):
