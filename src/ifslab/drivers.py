@@ -158,22 +158,31 @@ class _IidStream(SymbolStream):
 class _EnumerationStream(SymbolStream):
     """Symbols worked out from their positions: words of length ``L`` start at
     ``enumeration_prefix_length(L - 1, N)``, and word ``w`` of that length is
-    the ``L`` base-N digits of ``w``, plus one."""
+    the ``L`` base-N digits of ``w``, plus one. The stream keeps the length
+    of the words at its position and where they start, so a read walks only
+    the lengths it covers."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self._words = 1, 0  # a word length and the position of its first symbol
 
     def take_upto(self, n):
         base = self.spec.n_symbols
         start, stop = self.position, self.position + n
         pieces = []
-        length, first = 1, 0  # a word length and the position of its first symbol
-        while first < stop:
+        length, first = self._words
+        while True:
             end = first + length * base ** length
-            if end > start:
-                lo, hi = max(start, first) - first, min(stop, end) - first
+            lo, hi = max(start, first) - first, min(stop, end) - first
+            if lo < hi:
                 words = np.arange(lo // length, (hi - 1) // length + 1, dtype=np.int64)
                 powers = base ** np.arange(length - 1, -1, -1, dtype=np.int64)
                 digits = (words[:, None] // powers % base + 1).ravel()
                 pieces.append(digits[lo % length:lo % length + hi - lo])
+            if end > stop:
+                break
             length, first = length + 1, end
+        self._words = length, first
         self.position = stop
         return np.concatenate(pieces) if pieces else np.empty(0, dtype=np.int64)
 

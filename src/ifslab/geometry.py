@@ -98,7 +98,9 @@ class Hyperplane:
     def project(self, p, out=None):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
         ``p - ((a.p - b)/|a|^2) a``."""
-        return _move_along(p, self.normal, (p.dot(self.normal) - self.offset) / self._aa, out)
+        t = (p.dot(self.normal) - self.offset) / self._aa
+        step = np.multiply(t if p.ndim == 1 else t[:, None], self.normal, out=out)
+        return np.subtract(p, step, out=step)
 
     kernel = project
 
@@ -221,7 +223,8 @@ class Halfspace(ConvexBody):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
         the hyperplane step, taken only where ``a.p > b``."""
         t = np.maximum((p.dot(self.normal) - self.offset) / self._aa, 0.0)
-        return _move_along(p, self.normal, t, out)
+        step = np.multiply(t if p.ndim == 1 else t[:, None], self.normal, out=out)
+        return np.subtract(p, step, out=step)
 
     kernel = project
 
@@ -291,28 +294,29 @@ class Box(ConvexBody):
     kernel = project
 
 
-def _move_along(p, normal, t, out=None):
-    """``p - t * normal`` for one point and scalar ``t``, or row-wise for a
-    stack of points and one ``t`` per row; written into ``out`` if given."""
-    if p.ndim == 1:
-        return np.subtract(p, t * normal, out=out)
-    return np.subtract(p, t[:, None] * normal, out=out)
+def _checked(shape, kind, what):
+    """``shape``, checked to be a ``kind``; raises
+    :class:`GeometryValidationError` naming ``what`` it is not."""
+    if not isinstance(shape, kind):
+        raise GeometryValidationError(f"not {what}: {type(shape).__name__}")
+    return shape
 
 
 def project_hyperplane(x, plane):
     """Orthogonal projection onto a hyperplane: ``x - ((a.x - b)/|a|^2) a``."""
+    plane = _checked(plane, Hyperplane, "a hyperplane")
     return plane.project(_as_points(x, plane.dim))
 
 
 def project_affine_subspace(x, subspace):
     """Orthogonal projection onto an affine subspace given by point + orthonormal basis."""
+    subspace = _checked(subspace, AffineSubspace, "an affine subspace")
     return subspace.project(_as_points(x, subspace.dim))
 
 
 def project_convex(x, body):
     """Metric projection onto a halfspace, ball, or box."""
-    if not isinstance(body, ConvexBody):
-        raise GeometryValidationError(f"not a convex body: {type(body).__name__}")
+    body = _checked(body, ConvexBody, "a convex body")
     return body.project(_as_points(x, body.dim))
 
 

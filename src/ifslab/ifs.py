@@ -25,12 +25,20 @@ NONEXPANSIVE_SLACK = 1e-9
 # Pairs closer than this carry no usable Lipschitz quotient.
 DEGENERATE_PAIR_TOL = 1e-12
 
-# Steps the orbit loop runs between two looks at the orbit: the stop test of
-# a caller, and the test for a revisited point that starts table stepping.
+# Steps between two looks at the orbit: the stop test of a caller, which
+# sees the orbit in blocks of this many steps, and the test for a revisited
+# point that starts table stepping, run at the end of each kernel-stepped
+# block. Table-stepped blocks start at this size and double.
 STEP_BLOCK = 256
 
+# Steps after which the orbit's first block also runs the revisit test, the
+# gaps doubling from 16: orbits that settle on a few points revisit one
+# within a few steps, and a kernel step costs about twenty table lookups.
+FIRST_BLOCK_TESTS = (16, 48, 112, 240)
+
 # Symbols read from a driver at a time by run_orbit and kaczmarz.solve; a
-# multiple of STEP_BLOCK, so step blocks do not depend on it.
+# multiple of STEP_BLOCK, so the stop test's blocks do not depend on it.
+# Table-stepped blocks end at the end of a symbol block.
 SYMBOL_BLOCK = 4096
 
 
@@ -91,27 +99,19 @@ class AffineMap:
 MapSpec = (geometry.Hyperplane, geometry.AffineSubspace, geometry.ConvexBody, AffineMap)
 
 
-def _projection_onto(shape, kinds, what):
-    """``shape``, checked to be one of ``kinds``: the projection generator
-    onto a set is the set itself."""
-    if not isinstance(shape, kinds):
-        raise GeometryValidationError(f"not {what}: {type(shape).__name__}")
-    return shape
-
-
 def HyperplaneProjection(plane):
     """The projection onto a :class:`geometry.Hyperplane`: the plane."""
-    return _projection_onto(plane, geometry.Hyperplane, "a hyperplane")
+    return geometry._checked(plane, geometry.Hyperplane, "a hyperplane")
 
 
 def SubspaceProjection(subspace):
     """The projection onto a :class:`geometry.AffineSubspace`: the subspace."""
-    return _projection_onto(subspace, geometry.AffineSubspace, "an affine subspace")
+    return geometry._checked(subspace, geometry.AffineSubspace, "an affine subspace")
 
 
 def ConvexProjection(body):
     """The projection onto a halfspace, ball or box: the body."""
-    return _projection_onto(body, geometry.ConvexBody, "a convex body")
+    return geometry._checked(body, geometry.ConvexBody, "a convex body")
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,29 +188,35 @@ def apply_map(system, symbol, x):
 
 def _iterate(system, x0, blocks, n, stop=None):
     """The orbit loop: step from ``x0`` through at most ``n`` symbols, given
-    as int64 blocks already checked to lie in ``1..n_maps``. The loop cuts
-    them into blocks of at most ``STEP_BLOCK`` steps.
+    as int64 blocks already checked to lie in ``1..n_maps``.
 
     ``stop``, when given, is a block predicate: it takes a ``(k, d)`` block of
     orbit points and returns the index of the first point at which the orbit
     ends, or ``None``. It sees ``x0`` first, as a ``(1, d)`` block, and then
     the new points of each step block once all of them are stepped; the
-    steps after the stopping point are dropped. It must keep no reference to
-    the block, a view of buffers that later grow in place.
+    steps after the stopping point are dropped. Step blocks are the symbol
+    blocks cut into ``STEP_BLOCK`` steps, however the orbit was stepped. It
+    must keep no reference to the block, a view of buffers that later grow
+    in place.
 
     Without ``stop`` the buffers hold all ``n`` steps from the start; with it
-    they grow block by block, so memory follows the steps run. Steps call the
-    generators' kernels without validation, each writing its image straight
-    into the point's row of the buffer; callers validate ``x0`` and the
-    symbols. The current point ``x`` is a view of its row, taken at the start
+    they grow as the orbit is stepped, so memory follows the steps run. Steps
+    call the generators' kernels without validation, each writing its image
+    straight into the point's row of the buffer; callers validate ``x0`` and
+    the symbols. The current point is a view of its row, taken at the start
     of each block, after any growth, so no view of the buffers outlives one.
 
-    Once a block ends on a point it visited before its last step, the orbit
-    may be running on a finite set of floats, and any later blocks are
-    stepped by a :class:`_StateTable` built from that block, until one of
-    them meets more new transitions than known ones. A kernel is a function
-    of its input's bits and every table entry is a kernel's own image, so
-    the orbit is the same bit for bit.
+    Once the orbit revisits a point, other than by repeating its last step,
+    it may be running on a finite set of floats, and it is stepped by a
+    :class:`_StateTable` of the points so far, until a table block meets more
+    new transitions than known ones. The revisit test runs at the end of
+    each kernel-stepped block of ``STEP_BLOCK`` steps that is not the orbit's
+    last, and in the orbit's first block also after each of
+    ``FIRST_BLOCK_TESTS``; a table started there steps the rest of that
+    block. Table blocks double from ``STEP_BLOCK`` while the table is kept,
+    up to the rest of the symbol block. A kernel is a function of its
+    input's bits and every table entry is a kernel's own image, so the orbit
+    is the same bit for bit.
     """
     kernels = [m.kernel for m in system.maps]
     size = n if stop is None else 0
@@ -220,39 +226,59 @@ def _iterate(system, x0, blocks, n, stop=None):
     if stop is not None and stop(pts[:1]) is not None:
         return _used(pts, syms, 0)
     k = 0
-    table = None
-    for block in _step_blocks(blocks):
-        start, end = k + 1, k + len(block)
-        if end > size:
-            # At least double, up to n, in place, which frees the old memory.
-            size = min(n, max(end, 2 * size))
-            pts.resize((size + 1, system.dim), refcheck=False)
-            syms.resize(size, refcheck=False)
-        syms[k:end] = block
-        new = pts[k:end + 1]
-        if table is None:
-            x = pts[k]
-            for step, row in zip([kernels[i] for i in (block - 1).tolist()], new[1:]):
-                x = step(x, row)
-            # new[-2] is left out: a last step that maps its input to
-            # itself (an idempotent map, repeated) closes no cycle
-            if end < n and (new[:-2] == new[-1]).all(1).any():
-                table = _StateTable(kernels, new, block)
-        elif not table.step(block, new):
-            table = None
-        k = end
-        if stop is not None:
-            first = stop(new[1:])
-            if first is not None:
-                return _used(pts, syms, start + first)
+    table, width = None, STEP_BLOCK
+    for block in blocks:
+        i = 0
+        while i < len(block):
+            part = block[i:i + (STEP_BLOCK if table is None else width)]
+            i += len(part)
+            start, end = k + 1, k + len(part)
+            if end > size:
+                # At least double, up to n, in place, which frees the old memory.
+                size = min(n, max(end, 2 * size))
+                pts.resize((size + 1, system.dim), refcheck=False)
+                syms.resize(size, refcheck=False)
+            syms[k:end] = part
+            new = pts[k:end + 1]
+            if table is None:
+                tests = FIRST_BLOCK_TESTS if k == 0 else ()
+                table = _kernel_block(kernels, part, new, tests, end == n)
+            elif table.step(part, new):
+                width *= 2
+            else:
+                table, width = None, STEP_BLOCK
+            k = end
+            if stop is not None:
+                for j in range(0, len(part), STEP_BLOCK):
+                    first = stop(new[j + 1:j + STEP_BLOCK + 1])
+                    if first is not None:
+                        return _used(pts, syms, start + j + first)
     return _used(pts, syms, k)
 
 
-def _step_blocks(blocks):
-    """The symbol blocks cut into blocks of at most ``STEP_BLOCK``."""
-    for block in blocks:
-        for i in range(0, len(block), STEP_BLOCK):
-            yield block[i:i + STEP_BLOCK]
+def _kernel_block(kernels, symbols, rows, tests, last):
+    """Step from ``rows[0]`` through the symbols by the kernels, writing the
+    points into ``rows[1:]``. After each of the steps ``tests`` inside the
+    block, and after its last step unless ``last`` (the orbit's last), test
+    whether the point just reached was visited before. On the first hit,
+    return a :class:`_StateTable` of the points so far that has stepped the
+    rest of the block, or ``None`` if that step dropped it; without a hit,
+    ``None``."""
+    done = 0
+    for c in [c for c in tests if c < len(symbols)] + [len(symbols)]:
+        x = rows[done]
+        for step, row in zip([kernels[i] for i in (symbols[done:c] - 1).tolist()],
+                             rows[done + 1:c + 1]):
+            x = step(x, row)
+        done = c
+        # rows[c - 1] is left out: a last step that maps its input to itself
+        # (an idempotent map, repeated) closes no cycle
+        if (c < len(symbols) or not last) and (rows[:c - 1] == rows[c]).all(1).any():
+            table = _StateTable(kernels, rows[:c + 1], symbols[:c])
+            if c < len(symbols) and not table.step(symbols[c:], rows[c:]):
+                return None
+            return table
+    return None
 
 
 class _StateTable:
@@ -289,21 +315,24 @@ class _StateTable:
 
     def step(self, symbols, rows):
         """Step from the current state, the point ``rows[0]``, through the
-        symbols, and write the points into ``rows[1:]``. A transition not in
-        the table is a kernel's image of the stored state. Returns whether
+        symbols, and write the points into ``rows[1:]``: one list lookup per
+        step, then one gather of the states' rows. A transition not in the
+        table is a kernel's image of the stored state. Returns whether
         the table is still worth keeping: no more new transitions than known
         ones."""
+        transitions = self.next
         state = self.current
         path = []
+        visit = path.append
         misses = 0
         for i in (symbols - 1).tolist():
-            image = self.next[state][i]
+            image = transitions[state][i]
             if image is None:
                 misses += 1
-                image = self.next[state][i] = self._add(self.kernels[i](self.states[state]))
-            path.append(image)
+                image = transitions[state][i] = self._add(self.kernels[i](self.states[state]))
+            visit(image)
             state = image
-        rows[1:] = self.states[path]
+        self.states.take(np.fromiter(path, np.intp, len(path)), axis=0, out=rows[1:])
         self.current = state
         return 2 * misses <= len(path)
 

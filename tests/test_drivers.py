@@ -27,6 +27,7 @@ from ifslab import (
     run_orbit,
     solve,
 )
+from ifslab.drivers import symbol_blocks
 
 # Frozen once: i.i.d. audit seeds for the 5000-symbol disjunctivity property.
 IID_AUDIT_SEEDS = (11, 23, 37)
@@ -213,6 +214,16 @@ def test_enumeration_in_any_block_sizes_equals_oracle(n, sizes):
     assert got.dtype == np.int64
     assert got.tolist() == enumeration_prefix_oracle(n, sum(sizes))
     assert stream.position == sum(sizes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 20_000), st.integers(1, 5000))
+def test_enumeration_read_in_blocks_concatenates_to_generate(n, total, size):
+    # the blocks run_orbit and solve read, of any size, across many word lengths
+    blocks = list(symbol_blocks(DisjunctiveEnumeration(n), total, n, size))
+    assert all(len(block) == size for block in blocks[:-1])
+    got = np.concatenate(blocks) if blocks else np.empty(0, dtype=np.int64)
+    assert np.array_equal(got, generate(DisjunctiveEnumeration(n), total))
 
 
 @settings(max_examples=150, deadline=None)

@@ -105,6 +105,20 @@ def test_project_convex_examples():
     assert np.allclose(project_convex([2, -1], Box([0, 0], [1, 1])), [1, 0])
 
 
+@pytest.mark.parametrize("project, wrong, what", [
+    (project_hyperplane, Ball([0, 0], 1.0), "a hyperplane"),
+    (project_hyperplane, Halfspace([1, 0], 0.0), "a hyperplane"),
+    (project_affine_subspace, Box([0, 0], [1, 1]), "an affine subspace"),
+    (project_affine_subspace, Hyperplane([1, 0], 0.0), "an affine subspace"),
+    (project_convex, Hyperplane([1, 0], 0.0), "a convex body"),
+    (project_convex, AffineSubspace.single_point([0, 0]), "a convex body"),
+], ids=["hyperplane-of-ball", "hyperplane-of-halfspace", "subspace-of-box",
+        "subspace-of-hyperplane", "convex-of-hyperplane", "convex-of-subspace"])
+def test_projections_reject_a_set_of_the_wrong_type(project, wrong, what):
+    with pytest.raises(GeometryValidationError, match=f"^not {what}: {type(wrong).__name__}$"):
+        project([2.0, 5.0], wrong)
+
+
 def test_project_convex_validates_bodies():
     with pytest.raises(GeometryValidationError):
         Ball([0, 0], 0.0)

@@ -34,7 +34,7 @@ from ifslab import (
 )
 from ifslab import ifs
 from ifslab.geometry import AffineSubspace
-from ifslab.ifs import STEP_BLOCK, spectral_norm, symbols_from
+from ifslab.ifs import FIRST_BLOCK_TESTS, STEP_BLOCK, SYMBOL_BLOCK, spectral_norm, symbols_from
 from ifslab.kaczmarz import system_to_ifs
 
 
@@ -271,13 +271,15 @@ def few_state_driver(kind, rng, n_maps, n):
 
 @pytest.fixture
 def tables(monkeypatch):
-    """Every state table the orbits of a test build, recording each table
-    step's verdict and the capacity of its states array."""
+    """Every state table the orbits of a test build, recording the steps it
+    was built from, each table step's verdict and the capacity of its states
+    array."""
     built = []
 
     class Recorded(ifs._StateTable):
         def __init__(self, kernels, points, symbols):
             super().__init__(kernels, points, symbols)
+            self.built_from = len(symbols)
             self.first_stepped = len(self.ids)  # states from here on came from table steps
             self.kept = []
             self.capacities = []
@@ -293,10 +295,19 @@ def tables(monkeypatch):
     return built
 
 
-@settings(max_examples=30, deadline=None)
+# Orbit lengths just before, at and after the steps where the first block
+# tests for a revisit, and where table blocks of 256, 512, ... steps end
+# (starting at step 256, capped at the symbol blocks that end at 4096, 8192).
+SCHEDULE_EDGES = sorted({c + e for c in FIRST_BLOCK_TESTS + (STEP_BLOCK, 2 * STEP_BLOCK,
+                                                           4 * STEP_BLOCK, 8 * STEP_BLOCK,
+                                                           SYMBOL_BLOCK, 2 * SYMBOL_BLOCK)
+                         for e in (-1, 0, 1)})
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.sampled_from(FEW_STATE_KINDS), st.sampled_from(["iid", "disjunctive", "custom"]),
        st.integers(0, 2**32 - 1), st.lists(COORDS, min_size=3, max_size=3),
-       st.integers(3 * STEP_BLOCK, 5 * STEP_BLOCK))
+       st.one_of(st.integers(1, 5 * STEP_BLOCK), st.sampled_from(SCHEDULE_EDGES)))
 def test_table_stepped_orbits_equal_the_oracle(kind, driver_kind, seed, start, n):
     rng = np.random.default_rng(seed)
     system = few_state_system(kind, rng)
@@ -319,6 +330,64 @@ def test_few_state_orbits_step_by_the_table(kind, driver_kind, tables):
     orbit = run_orbit(system, x0, driver, n)
     assert same_bits(orbit.points, oracle_orbit(system, x0, symbols_from(driver, n, system.n_maps)))
     assert tables and any(table.kept for table in tables)
+
+
+@pytest.mark.parametrize("driver_kind", ["iid", "disjunctive"])
+@pytest.mark.parametrize("kind", ["square", "triangle"])
+def test_polyhedral_orbits_build_their_table_at_a_first_block_test(kind, driver_kind, tables):
+    # The benchmark's ensemble orbits: 10^4 steps on the square's or the
+    # triangle's lines from a random start. Each switches to its table at one
+    # of the first two revisit tests inside its first block, not at its end.
+    rng = np.random.default_rng(11)
+    system = few_state_system(kind, rng)
+    for _ in range(4):
+        x0 = rng.dirichlet([2.0, 2.0, 2.0]) @ np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]) \
+            if kind == "triangle" else rng.uniform(-1.0, 2.0, 2)
+        driver = few_state_driver(driver_kind, rng, system.n_maps, 10_000)
+        tables.clear()
+        orbit = run_orbit(system, x0, driver, 10_000)
+        (table,) = tables
+        # The test at a checkpoint looks at that step's point only: the table
+        # starts at the first checkpoint whose point the orbit visited before.
+        rows = [p.tobytes() for p in orbit.points]
+        revisits = [c for c in FIRST_BLOCK_TESTS if rows[c] in rows[:c - 1]]
+        assert table.built_from == revisits[0] <= FIRST_BLOCK_TESTS[1]
+        if kind == "square" and driver_kind == "disjunctive":
+            assert table.built_from == FIRST_BLOCK_TESTS[0]
+        assert all(table.kept)
+        assert same_bits(orbit.points[:STEP_BLOCK + 1],
+                         oracle_orbit(system, x0, orbit.symbols[:STEP_BLOCK]))
+
+
+def test_solve_stop_sees_blocks_on_the_step_grid(tables, monkeypatch):
+    # The triangle's lines as an inconsistent system never stop at tol 1e-300,
+    # and their orbit is table-stepped in blocks of 256, 512, ..., 4096
+    # steps; the stop test still sees x0 and then every 256 steps.
+    system = LinearSystem([[0, 1], [1, 1], [1, 0]], [0, 1, 0])
+    lengths = []
+    first_within = LinearSystem._first_within
+
+    def recorded(self, pts, tol):
+        lengths.append(len(pts))
+        return first_within(self, pts, tol)
+
+    monkeypatch.setattr(LinearSystem, "_first_within", recorded)
+    kept = []
+    for max_iter in (2 * SYMBOL_BLOCK + 3 * STEP_BLOCK + 7, 3 * STEP_BLOCK):
+        lengths.clear()
+        tables.clear()
+        report = solve(system, IidRandom.uniform(4, 3), tol=1e-300, max_iter=max_iter,
+                       x0=[0.2, 0.6])
+        assert not report.converged and report.iterations == max_iter
+        rest = [max_iter % STEP_BLOCK] if max_iter % STEP_BLOCK else []
+        assert lengths == [1] + [STEP_BLOCK] * (max_iter // STEP_BLOCK) + rest
+        (table,) = tables
+        assert all(table.kept)
+        kept.append(len(table.kept))
+    # The table steps the rest of the first block, then 256, 512, 1024 and
+    # 2048 steps to the end of the first symbol block, 4096 and the last 775;
+    # or the rest of the first block, 256 and 256.
+    assert kept == [7, 3]
 
 
 def test_orbit_leaves_the_table_when_it_stops_revisiting(tables):
@@ -412,9 +481,10 @@ def test_table_stepping_memory_stays_within_the_orbit_buffers():
 
 
 def test_table_states_grow_by_doubling_on_an_orbit_that_keeps_adding_states(tables):
-    # Each block takes 126 unit steps along the x-axis, all to new states,
-    # then projects onto the axis 130 times: 127 new transitions and 129
-    # known ones, so every table step keeps the table and adds 126 states.
+    # Each block of 256 steps takes 126 unit steps along the x-axis, all to
+    # new states, then projects onto the axis 130 times: 127 new transitions
+    # and 129 known ones, so every table step keeps the table and adds 126
+    # states per 256 steps.
     system = IFSystem((AffineMap(np.eye(2), [1.0, 0.0]), line([0, 1], 0)), 2)
     blocks = 200
     symbols = np.tile(np.repeat([1, 2], [126, 130]), blocks)
@@ -426,7 +496,14 @@ def test_table_states_grow_by_doubling_on_an_orbit_that_keeps_adding_states(tabl
         tracemalloc.stop()
     assert same_bits(orbit.points[::STEP_BLOCK, 0], 126.0 * np.arange(blocks + 1))
     (table,) = tables
-    assert len(table.kept) == blocks - 1 and all(table.kept)
+    # The first block's test after step 240 finds the point of step 126
+    # again, and the table steps the rest of that block. Then table blocks
+    # double from 256 steps, capped at the symbol blocks of 4096 steps that
+    # run_orbit reads: 256, 512, 1024, 2048 up to step 4096, one block for
+    # each of the next 11 symbol blocks, and one for the last 2048 steps.
+    assert table.built_from == 240
+    assert len(symbols) == 12 * SYMBOL_BLOCK + 2048
+    assert len(table.kept) == 1 + 4 + 11 + 1 and all(table.kept)
     assert len(table.ids) == 126 * blocks + 1
     # The states array doubles when full, so it changes size only a
     # logarithmic number of times and never holds more than twice its states.
