@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import itertools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class IidRandom:
 
     def __post_init__(self):
         w = tuple(float(x) for x in self.weights)
-        if len(w) == 0 or any(x <= 0.0 for x in w):
-            raise ValueError("weights must be strictly positive")
+        if len(w) == 0 or not all(math.isfinite(x) and x > 0.0 for x in w):
+            raise ValueError(f"weights must be finite and strictly positive, got {w!r}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
         object.__setattr__(self, "seed", int(self.seed))

@@ -69,8 +69,11 @@ def _init_normal(obj, what):
     n = as_vector(obj.normal, what=f"{what} normal")
     if float(np.linalg.norm(n)) < MIN_NORMAL_NORM:
         raise GeometryValidationError(f"{what} normal is numerically zero")
+    offset = float(obj.offset)
+    if not math.isfinite(offset):
+        raise GeometryValidationError(f"{what} offset must be finite, got {offset!r}")
     object.__setattr__(obj, "normal", n)
-    object.__setattr__(obj, "offset", float(obj.offset))
+    object.__setattr__(obj, "offset", offset)
     object.__setattr__(obj, "_aa", float(n @ n))
 
 

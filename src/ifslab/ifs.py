@@ -25,20 +25,20 @@ NONEXPANSIVE_SLACK = 1e-9
 # Pairs closer than this carry no usable Lipschitz quotient.
 DEGENERATE_PAIR_TOL = 1e-12
 
-# Steps between two looks at the orbit: the stop test of a caller, which
-# sees the orbit in blocks of this many steps, and the test for a revisited
-# point that starts table stepping, run at the end of each kernel-stepped
-# block. Table-stepped blocks start at this size and double.
+# Steps between two looks at the orbit once it is this long: the stop test
+# of a caller sees the orbit in blocks of this many steps, and a
+# kernel-stepped orbit tests for a revisited point at each multiple of it.
 STEP_BLOCK = 256
 
-# Steps after which the orbit's first block also runs the revisit test, the
-# gaps doubling from 16: orbits that settle on a few points revisit one
+# Steps before the orbit's first test for a revisited point. The orbit is
+# stepped in pieces as long as the orbit so far, so the tests double from
+# here up to STEP_BLOCK: orbits that settle on a few points revisit one
 # within a few steps, and a kernel step costs about twenty table lookups.
-FIRST_BLOCK_TESTS = (16, 48, 112, 240)
+FIRST_LOOK = 16
 
 # Symbols read from a driver at a time by run_orbit and kaczmarz.solve; a
 # multiple of STEP_BLOCK, so the stop test's blocks do not depend on it.
-# Table-stepped blocks end at the end of a symbol block.
+# Every piece of the orbit ends at the end of a symbol block.
 SYMBOL_BLOCK = 4096
 
 
@@ -204,19 +204,21 @@ def _iterate(system, x0, blocks, n, stop=None):
     call the generators' kernels without validation, each writing its image
     straight into the point's row of the buffer; callers validate ``x0`` and
     the symbols. The current point is a view of its row, taken at the start
-    of each block, after any growth, so no view of the buffers outlives one.
+    of each piece, after any growth, so no view of the buffers outlives one.
 
-    Once the orbit revisits a point, other than by repeating its last step,
-    it may be running on a finite set of floats, and it is stepped by a
-    :class:`_StateTable` of the points so far, until a table block meets more
-    new transitions than known ones. The revisit test runs at the end of
-    each kernel-stepped block of ``STEP_BLOCK`` steps that is not the orbit's
-    last, and in the orbit's first block also after each of
-    ``FIRST_BLOCK_TESTS``; a table started there steps the rest of that
-    block. Table blocks double from ``STEP_BLOCK`` while the table is kept,
-    up to the rest of the symbol block. A kernel is a function of its
-    input's bits and every table entry is a kernel's own image, so the orbit
-    is the same bit for bit.
+    The orbit is stepped in pieces, each as long as the orbit so far but at
+    least ``FIRST_LOOK`` steps, and ending at the end of its symbol block. A
+    kernel piece calls the kernels and also ends at the next multiple of
+    ``STEP_BLOCK``. Unless it is the orbit's last, it then tests whether the
+    point just reached was visited since the last multiple of ``STEP_BLOCK``,
+    other than by repeating the last step. On a hit the orbit may be running
+    on a finite set of floats: those points become a :class:`_StateTable`,
+    which steps the next pieces, each running at least to the next multiple
+    of ``STEP_BLOCK``, until one meets more new transitions than known ones.
+    So the tests come after steps 16, 32, 64, 128 and then every
+    ``STEP_BLOCK`` kernel steps, and table pieces double. A kernel is a
+    function of its input's bits and every table entry is a kernel's own
+    image, so the orbit is the same bit for bit.
     """
     kernels = [m.kernel for m in system.maps]
     size = n if stop is None else 0
@@ -225,60 +227,44 @@ def _iterate(system, x0, blocks, n, stop=None):
     pts[0] = x0
     if stop is not None and stop(pts[:1]) is not None:
         return _used(pts, syms, 0)
-    k = 0
-    table, width = None, STEP_BLOCK
+    k = seen = 0
+    table = None
     for block in blocks:
-        i = 0
-        while i < len(block):
-            part = block[i:i + (STEP_BLOCK if table is None else width)]
-            i += len(part)
-            start, end = k + 1, k + len(part)
+        first, last = k, k + len(block)
+        while k < last:
+            since = k - k % STEP_BLOCK
+            # as long as the orbit so far; a kernel piece ends at the next
+            # multiple of STEP_BLOCK, and a table piece runs at least to it
+            reach = min if table is None else max
+            end = min(last, reach(k + max(k, FIRST_LOOK), since + STEP_BLOCK))
             if end > size:
                 # At least double, up to n, in place, which frees the old memory.
                 size = min(n, max(end, 2 * size))
                 pts.resize((size + 1, system.dim), refcheck=False)
                 syms.resize(size, refcheck=False)
+            part = block[k - first:end - first]
             syms[k:end] = part
-            new = pts[k:end + 1]
-            if table is None:
-                tests = FIRST_BLOCK_TESTS if k == 0 else ()
-                table = _kernel_block(kernels, part, new, tests, end == n)
-            elif table.step(part, new):
-                width *= 2
+            rows = pts[k:end + 1]
+            if table is not None:
+                if not table.step(part, rows):
+                    table = None
             else:
-                table, width = None, STEP_BLOCK
+                x = rows[0]
+                for step, row in zip([kernels[i] for i in (part - 1).tolist()], rows[1:]):
+                    x = step(x, row)
+                # pts[end - 1] is left out: a last step that maps its input to
+                # itself (an idempotent map, repeated) closes no cycle
+                if end < n and (pts[since:end - 1] == pts[end]).all(1).any():
+                    table = _StateTable(kernels, pts[since:end + 1], syms[since:end])
             k = end
-            if stop is not None:
-                for j in range(0, len(part), STEP_BLOCK):
-                    first = stop(new[j + 1:j + STEP_BLOCK + 1])
-                    if first is not None:
-                        return _used(pts, syms, start + j + first)
+            # every complete step block, and the rest at the symbol block's end
+            while stop is not None and seen < k and (k - seen >= STEP_BLOCK or k == last):
+                window = pts[seen + 1:min(k, seen + STEP_BLOCK) + 1]
+                found = stop(window)
+                if found is not None:
+                    return _used(pts, syms, seen + 1 + found)
+                seen += len(window)
     return _used(pts, syms, k)
-
-
-def _kernel_block(kernels, symbols, rows, tests, last):
-    """Step from ``rows[0]`` through the symbols by the kernels, writing the
-    points into ``rows[1:]``. After each of the steps ``tests`` inside the
-    block, and after its last step unless ``last`` (the orbit's last), test
-    whether the point just reached was visited before. On the first hit,
-    return a :class:`_StateTable` of the points so far that has stepped the
-    rest of the block, or ``None`` if that step dropped it; without a hit,
-    ``None``."""
-    done = 0
-    for c in [c for c in tests if c < len(symbols)] + [len(symbols)]:
-        x = rows[done]
-        for step, row in zip([kernels[i] for i in (symbols[done:c] - 1).tolist()],
-                             rows[done + 1:c + 1]):
-            x = step(x, row)
-        done = c
-        # rows[c - 1] is left out: a last step that maps its input to itself
-        # (an idempotent map, repeated) closes no cycle
-        if (c < len(symbols) or not last) and (rows[:c - 1] == rows[c]).all(1).any():
-            table = _StateTable(kernels, rows[:c + 1], symbols[:c])
-            if c < len(symbols) and not table.step(symbols[c:], rows[c:]):
-                return None
-            return table
-    return None
 
 
 class _StateTable:

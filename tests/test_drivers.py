@@ -82,6 +82,9 @@ def test_iid_weight_validation():
         IidRandom(1, (0.5, 0.0, 0.5))
     with pytest.raises(ValueError):
         IidRandom(1, (0.7, 0.7))
+    for weights in ((np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0), (-np.inf, 1.0), (np.nan,)):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            IidRandom(1, weights)
 
 
 def test_custom_replays_then_exhausts():

@@ -77,6 +77,9 @@ def test_hyperplane_and_halfspace_share_normal_validation():
             cls([0.0, 0.0], 1.0)
         with pytest.raises(GeometryValidationError, match=f"^{word} normal: "):
             cls([0.0, np.nan], 1.0)
+        for offset in (np.nan, np.inf, -np.inf):
+            with pytest.raises(GeometryValidationError, match=f"^{word} offset must be finite"):
+                cls([1.0, 0.0], offset)
         body = cls([3, 4], 2)
         assert body._aa == 25.0 and body.offset == 2.0 and body.normal.dtype == np.float64
 

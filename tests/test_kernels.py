@@ -34,7 +34,7 @@ from ifslab import (
 )
 from ifslab import ifs
 from ifslab.geometry import AffineSubspace
-from ifslab.ifs import FIRST_BLOCK_TESTS, STEP_BLOCK, SYMBOL_BLOCK, spectral_norm, symbols_from
+from ifslab.ifs import FIRST_LOOK, STEP_BLOCK, SYMBOL_BLOCK, spectral_norm, symbols_from
 from ifslab.kaczmarz import system_to_ifs
 
 
@@ -295,12 +295,15 @@ def tables(monkeypatch):
     return built
 
 
-# Orbit lengths just before, at and after the steps where the first block
-# tests for a revisit, and where table blocks of 256, 512, ... steps end
-# (starting at step 256, capped at the symbol blocks that end at 4096, 8192).
-SCHEDULE_EDGES = sorted({c + e for c in FIRST_BLOCK_TESTS + (STEP_BLOCK, 2 * STEP_BLOCK,
-                                                           4 * STEP_BLOCK, 8 * STEP_BLOCK,
-                                                           SYMBOL_BLOCK, 2 * SYMBOL_BLOCK)
+# The steps after which a kernel-stepped orbit first tests for a revisit:
+# 16, 32, 64, 128 and 256, its pieces each as long as the orbit so far.
+LOOKS = tuple(FIRST_LOOK * 2**j for j in range(5))
+
+# Orbit lengths just before, at and after those looks, and where the table
+# pieces of an orbit that switches in its first block end (256, 512, 1024,
+# 2048, then the symbol blocks that end at 4096 and 8192).
+SCHEDULE_EDGES = sorted({c + e for c in LOOKS + (STEP_BLOCK, 2 * STEP_BLOCK, 4 * STEP_BLOCK,
+                                                 8 * STEP_BLOCK, SYMBOL_BLOCK, 2 * SYMBOL_BLOCK)
                          for e in (-1, 0, 1)})
 
 
@@ -338,6 +341,8 @@ def test_polyhedral_orbits_build_their_table_at_a_first_block_test(kind, driver_
     # The benchmark's ensemble orbits: 10^4 steps on the square's or the
     # triangle's lines from a random start. Each switches to its table at one
     # of the first two revisit tests inside its first block, not at its end.
+    # Under the enumeration the triangle's orbits revisit a point at step 9
+    # but stand on a new one at step 16, so they switch at step 32.
     rng = np.random.default_rng(11)
     system = few_state_system(kind, rng)
     for _ in range(4):
@@ -350,10 +355,12 @@ def test_polyhedral_orbits_build_their_table_at_a_first_block_test(kind, driver_
         # The test at a checkpoint looks at that step's point only: the table
         # starts at the first checkpoint whose point the orbit visited before.
         rows = [p.tobytes() for p in orbit.points]
-        revisits = [c for c in FIRST_BLOCK_TESTS if rows[c] in rows[:c - 1]]
-        assert table.built_from == revisits[0] <= FIRST_BLOCK_TESTS[1]
+        revisits = [c for c in LOOKS if rows[c] in rows[:c - 1]]
+        assert table.built_from == revisits[0] <= LOOKS[1]
         if kind == "square" and driver_kind == "disjunctive":
-            assert table.built_from == FIRST_BLOCK_TESTS[0]
+            assert table.built_from == LOOKS[0]
+        if kind == "triangle" and driver_kind == "disjunctive":
+            assert table.built_from == LOOKS[1]
         assert all(table.kept)
         assert same_bits(orbit.points[:STEP_BLOCK + 1],
                          oracle_orbit(system, x0, orbit.symbols[:STEP_BLOCK]))
@@ -388,6 +395,16 @@ def test_solve_stop_sees_blocks_on_the_step_grid(tables, monkeypatch):
     # 2048 steps to the end of the first symbol block, 4096 and the last 775;
     # or the rest of the first block, 256 and 256.
     assert kept == [7, 3]
+
+
+def test_solve_stop_sees_the_rest_of_a_driver_that_runs_out():
+    # The custom driver's two symbols reach the solution exactly, and then
+    # the driver runs out, eight steps short of max_iter: the stop test sees
+    # that short last block before the driver is read again and raises.
+    report = solve(LinearSystem([[1, 0], [0, 1]], [1, 2]), Custom((1, 2)), tol=1e-12,
+                   max_iter=10)
+    assert report.converged and report.iterations == 2
+    assert same_bits(report.final_point, np.array([1.0, 2.0]))
 
 
 def test_orbit_leaves_the_table_when_it_stops_revisiting(tables):
@@ -449,8 +466,8 @@ def test_kaczmarz_benchmark_solves_build_no_table(tables, tmp_path):
 
 def test_solve_stops_inside_a_table_stepped_block(tables):
     # The triangle's lines are an inconsistent system. Its orbit builds a
-    # table after its first block; tol is the residual of a later point that
-    # no earlier point reaches, first made by a table step.
+    # table in its first block; tol is the residual of a point after that
+    # block that no earlier point reaches, first made by a table step.
     system = LinearSystem([[0, 1], [1, 1], [1, 0]], [0, 1, 0])
     driver, x0, max_iter = IidRandom.uniform(1, 3), np.array([0.2, 0.6]), 4000
     full = run_orbit(system_to_ifs(system), x0, driver, max_iter)
@@ -496,12 +513,12 @@ def test_table_states_grow_by_doubling_on_an_orbit_that_keeps_adding_states(tabl
         tracemalloc.stop()
     assert same_bits(orbit.points[::STEP_BLOCK, 0], 126.0 * np.arange(blocks + 1))
     (table,) = tables
-    # The first block's test after step 240 finds the point of step 126
-    # again, and the table steps the rest of that block. Then table blocks
-    # double from 256 steps, capped at the symbol blocks of 4096 steps that
-    # run_orbit reads: 256, 512, 1024, 2048 up to step 4096, one block for
-    # each of the next 11 symbol blocks, and one for the last 2048 steps.
-    assert table.built_from == 240
+    # The test after step 128 finds the point of step 126 again, and the
+    # table steps the rest of the first block. Then table pieces double from
+    # 256 steps, capped at the symbol blocks of 4096 steps that run_orbit
+    # reads: 256, 512, 1024, 2048 up to step 4096, one piece for each of the
+    # next 11 symbol blocks, and one for the last 2048 steps.
+    assert table.built_from == 128
     assert len(symbols) == 12 * SYMBOL_BLOCK + 2048
     assert len(table.kept) == 1 + 4 + 11 + 1 and all(table.kept)
     assert len(table.ids) == 126 * blocks + 1

@@ -150,6 +150,29 @@ def test_cli_run_exit_two_on_invalid_config(tmp_path, capsys):
     assert main(["run", str(path2)]) == 2
 
 
+@pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
+def test_cli_run_rejects_a_non_finite_map_offset(tmp_path, capsys, offset):
+    # json writes the offset as NaN, Infinity or -Infinity, which it reads back
+    config = minimal_config()
+    config["maps"][1]["offset"] = offset
+    path = tmp_path / "offset.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.maps[1]: hyperplane offset must be finite")
+    assert not (tmp_path / "out").exists()
+
+
+def test_nan_iid_weights_are_a_config_error(capsys):
+    with pytest.raises(ScenarioError, match=r"^config\.driver: weights must be finite"):
+        scenario_from_dict(minimal_config(driver={"kind": "iid", "seed": 1,
+                                                  "weights": [float("nan"), 1.0]}))
+    assert main(["driver", "gen", "--kind", "iid", "--seed", "1", "--weights", "nan,1",
+                 "--n", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "weights must be finite" in captured.err
+
+
 def test_cli_driver_gen_matches_module(tmp_path, capsys):
     rc = main(["driver", "gen", "--kind", "disjunctive", "--n", "8",
                "--alphabet", "2"])
