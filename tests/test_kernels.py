@@ -420,6 +420,27 @@ def test_orbit_leaves_the_table_when_it_stops_revisiting(tables):
     assert len(tables) == 1 and tables[0].kept[0] and not tables[0].kept[-1]
 
 
+def test_orbit_builds_a_new_table_when_it_revisits_again(tables):
+    # The square's lines for 600 steps, the rotation for 600, then the lines
+    # for 2000 more. The first table steps pieces to 256, 512 and 1024, and
+    # drops at 1024: 424 of that piece's 512 steps are rotation steps, each
+    # to a new point. Kernel pieces then run 256 steps at a time; at step
+    # 1280 the orbit stands on a corner it met since step 1024, and a new
+    # table is built from those 256 steps. Its pieces are as long as the
+    # orbit so far: 1280 to 2560, then the rest to 3200.
+    system = IFSystem((line([1, 0], 1), line([1, 0], 0), line([0, 1], 1), line([0, 1], 0),
+                       rotation(1.0, np.array([0.5, 0.5]))), 2)
+    square = IidRandom.uniform(3, 4)
+    symbols = np.concatenate([symbols_from(square, 600, 4), np.full(600, 5),
+                              symbols_from(square, 2000, 4)])
+    x0 = np.array([0.3, -0.0])
+    orbit = run_orbit(system, x0, symbols, len(symbols))
+    assert same_bits(orbit.points, oracle_orbit(system, x0, symbols))
+    first, rebuilt = tables
+    assert first.built_from <= LOOKS[1] and first.kept == [True, True, False]
+    assert rebuilt.built_from == STEP_BLOCK and rebuilt.kept == [True, True]
+
+
 def test_a_repeated_idempotent_last_step_builds_no_table(tables):
     # Alternating projections onto two lines at a small angle approach their
     # intersection without reaching it. Every block ends by projecting twice
