@@ -4,12 +4,14 @@ minimal SVG scatter for 2-d runs.
 Floats are written with ``repr`` so every file round-trips bit for bit.
 Writers check their input before they open the file, then stream it one
 line per row, formatting each distinct point once; readers parse a file in
-one pass of its lines, each distinct coordinate text once.
+one pass of its lines, each distinct coordinate text once, and check it to
+be finite as they parse it, so the earliest bad line is the one named.
 """
 
 from __future__ import annotations
 
 import json
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
@@ -41,102 +43,68 @@ def _distinct_texts(points):
 
 
 def read_orbit_csv(path):
-    points, symbols = _read_rows(path, _orbit_row, header="n,symbol")
+    points, symbols = _read_rows(path, orbit=True)
     if not len(points):
         raise EmptyCloudError(f"{path}: no orbit rows")
     return Orbit(points, np.asarray(symbols, dtype=np.int64))
 
 
-def _orbit_row(line, index):
-    """The symbol and the coordinate text of the orbit row ``index``: row 0
-    has an empty symbol and every later row has one."""
-    cells = line.split(",", 2)
-    if len(cells) < 3:
-        raise ValueError(f"malformed orbit row: {line!r}")
-    symbol = cells[1]
-    if index and symbol:
-        return int(symbol), cells[2]
-    if index or symbol:
-        raise ValueError(f"symbol {symbol!r} on row {index}: "
-                         "row 0 has an empty symbol and every later row has one")
-    return None, cells[2]
+def _read_rows(path, orbit=False):
+    """The points, as one array, and the symbols of a CSV file, read in one
+    pass of its lines: an orbit file, after its header, or a headerless file
+    of value rows. Each distinct coordinate text is parsed, and checked to be
+    finite, once: only texts that parsed into a row of the first row's width
+    are remembered.
 
-
-def _float_row(line, index):
-    """A row of a headerless file: no symbol, and only values."""
-    return None, line
-
-
-def _read_rows(path, row, header=None):
-    """The points, as one array, and the symbols of a CSV file whose rows
-    ``row`` parses (see :func:`_parse_rows`), after the ``header`` line if
-    one is given; only a headerless file skips empty lines.
-
-    A non-finite value raises :class:`GeometryValidationError` naming its
-    line, like any other bad cell. One vectorized test of the distinct rows
-    looks for it after the parse, so a malformed line later in the file is
-    named first.
-    """
-    with open(path) as f:
-        lines = enumerate(f, 1)
-        if header is not None:
-            first = next((line for _, line in lines if line.strip()), "")
-            if not first.lstrip().startswith(header):
-                raise GeometryValidationError(f"{path}: not an orbit CSV (missing header)")
-        distinct, first_lines, index, symbols = _parse_rows(path, lines, row,
-                                                            skip_empty=header is None)
-    distinct = np.asarray(distinct)
-    if distinct.size and not (np.isfinite(distinct.min()) and np.isfinite(distinct.max())):
-        # distinct rows are numbered as they first occur, so the first
-        # non-finite one is on the first line with a non-finite value
-        bad = int(np.flatnonzero(~np.isfinite(distinct).all(axis=1))[0])
-        raise GeometryValidationError(f"{path}, line {first_lines[bad]}: "
-                                      f"non-finite value in {distinct[bad].tolist()}")
-    return distinct[np.asarray(index, dtype=np.intp)], symbols
-
-
-def _parse_rows(path, lines, row, skip_empty):
-    """The distinct value rows, the line number of each one's first
-    occurrence, the index of every data row's values among them, and the
-    symbols of the numbered ``lines`` of a CSV file. Each line is split by
-    ``row(line, index)`` (the line and its data row index to ``(symbol or
-    None, coordinate text)``), and each distinct coordinate text is parsed
-    once: only texts that parsed into a row of the first row's width are
-    remembered.
-
-    The first line that ``row`` rejects, or that has another number of values
+    An orbit row is ``n,symbol,`` and its coordinates; row 0 has an empty
+    symbol and every later row has one. The first line that breaks this, or
+    that has a non-numeric or non-finite value, or another number of values
     than the first row, raises :class:`GeometryValidationError` naming the
     path and the 1-based line. Blank lines after the last row are ignored,
-    and so are empty lines and blank lines before the first row if
-    ``skip_empty``; any other blank line is rejected.
+    and so are empty lines and blank lines before the first row of a
+    headerless file; any other blank line is rejected.
     """
-    distinct, first_lines, index, symbols, width = [], [], [], [], None
+    distinct, index, symbols, width = [], [], [], None
     parsed = {}  # coordinate text -> the index of its values in distinct
-    for number, line in lines:
-        line = line.rstrip("\n")
-        try:
-            symbol, text = row(line, len(index))
-            j = parsed.get(text)
-            if j is None:
-                values = [float(c) for c in text.split(",")]
-                if len(values) != width:
+    with open(path) as f:
+        lines = enumerate(f, 1)
+        if orbit:
+            first = next((line for _, line in lines if line.strip()), "")
+            if not first.lstrip().startswith("n,symbol"):
+                raise GeometryValidationError(f"{path}: not an orbit CSV (missing header)")
+        for number, line in lines:
+            line = text = line.rstrip("\n")
+            try:
+                if orbit:
+                    cells = line.split(",", 2)
+                    if len(cells) < 3:
+                        raise ValueError(f"malformed orbit row: {line!r}")
+                    _, symbol, text = cells
+                    if bool(symbol) != bool(index):
+                        raise ValueError(f"symbol {symbol!r} on row {len(index)}: "
+                                         "row 0 has an empty symbol and every later row has one")
                     if index:
-                        raise ValueError(f"{len(values)} values, the first row has {width}")
-                    width = len(values)
-                j = parsed[text] = len(distinct)
-                distinct.append(values)
-                first_lines.append(number)
-        except ValueError as exc:
-            blank = not line.strip()
-            if blank and skip_empty and not (line and index):
-                continue
-            if not blank or any(rest.strip() for _, rest in lines):
-                raise GeometryValidationError(f"{path}, line {number}: {exc}") from None
-            break
-        index.append(j)
-        if symbol is not None:
-            symbols.append(symbol)
-    return distinct, first_lines, index, symbols
+                        symbols.append(int(symbol))
+                j = parsed.get(text)
+                if j is None:
+                    values = [float(c) for c in text.split(",")]
+                    if not all(map(isfinite, values)):
+                        raise ValueError(f"non-finite value in {values}")
+                    if len(values) != width:
+                        if index:
+                            raise ValueError(f"{len(values)} values, the first row has {width}")
+                        width = len(values)
+                    j = parsed[text] = len(distinct)
+                    distinct.append(values)
+            except ValueError as exc:
+                blank = not line.strip()
+                if blank and not orbit and not (line and index):
+                    continue
+                if not blank or any(rest.strip() for _, rest in lines):
+                    raise GeometryValidationError(f"{path}, line {number}: {exc}") from None
+                break
+            index.append(j)
+    return np.asarray(distinct)[np.asarray(index, dtype=np.intp)], symbols
 
 
 def write_cloud_csv(path, cloud):
@@ -149,7 +117,7 @@ def write_cloud_csv(path, cloud):
 def read_cloud_csv(path):
     """One point per row, no header; an empty file raises
     :class:`EmptyCloudError`."""
-    points, _ = _read_rows(path, _float_row)
+    points, _ = _read_rows(path)
     if len(points) == 0:
         raise EmptyCloudError(f"{path}: empty cloud file")
     return PointCloud(points)
@@ -157,7 +125,7 @@ def read_cloud_csv(path):
 
 def read_linear_system_csv(path):
     """Rows ``a1,...,ad,b`` with no header."""
-    data, _ = _read_rows(path, _float_row)
+    data, _ = _read_rows(path)
     if len(data) == 0:
         raise GeometryValidationError(f"{path}: empty system file")
     if data.shape[1] < 2:

@@ -137,10 +137,6 @@ class IFSystem:
     def n_maps(self):
         return len(self.maps)
 
-    def map_for(self, symbol):
-        drivers.check_symbols(np.array([symbol], dtype=np.int64), self.n_maps)
-        return self.maps[symbol - 1]
-
 
 @dataclass(frozen=True, eq=False)
 class Orbit:
@@ -183,12 +179,14 @@ def symbols_from(driver, n, n_symbols):
 
 def apply_map(system, symbol, x):
     """One step ``f_symbol(x)`` of the system."""
-    return system.map_for(symbol).apply(geometry.as_vector(x, dim=system.dim))
+    drivers.check_symbols(np.array([symbol], dtype=np.int64), system.n_maps)
+    return system.maps[symbol - 1].apply(geometry.as_vector(x, dim=system.dim))
 
 
-def _iterate(system, x0, blocks, n, stop=None):
-    """The orbit loop: step from ``x0`` through at most ``n`` symbols, given
-    as int64 blocks already checked to lie in ``1..n_maps``.
+def _iterate(system, x0, driver, n, stop=None):
+    """The orbit loop: step from ``x0`` through at most ``n`` symbols of
+    ``driver``, read ``SYMBOL_BLOCK`` at a time by
+    :func:`drivers.symbol_blocks`, which checks them to lie in ``1..n_maps``.
 
     ``stop``, when given, is a block predicate: it takes a ``(k, d)`` block of
     orbit points and returns the index of the first point at which the orbit
@@ -229,7 +227,7 @@ def _iterate(system, x0, blocks, n, stop=None):
         return _used(pts, syms, 0)
     k = seen = 0
     table = None
-    for block in blocks:
+    for block in drivers.symbol_blocks(driver, n, system.n_maps, SYMBOL_BLOCK):
         first, last = k, k + len(block)
         while k < last:
             since = k - k % STEP_BLOCK
@@ -343,8 +341,7 @@ def run_orbit(system, x0, driver, n):
     start = geometry.as_vector(x0, dim=system.dim)
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    blocks = drivers.symbol_blocks(driver, n, system.n_maps, SYMBOL_BLOCK)
-    return _iterate(system, start, blocks, n)
+    return _iterate(system, start, driver, n)
 
 
 def hutchinson(system, cloud):
@@ -408,7 +405,7 @@ def composition_lipschitz_on_tree(system, word, x0, depth, samples, seed):
     choices = rng.integers(1, system.n_maps + 1, size=(n_nodes, max(depth, 1)))
 
     def image(v, symbols):
-        return _iterate(system, v, [symbols], len(symbols)).points[-1]
+        return _iterate(system, v, symbols, len(symbols)).points[-1]
 
     nodes = [image(start, choices[j, :lengths[j]]) for j in range(n_nodes)]
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import describe_driver, symbol_blocks
+from .drivers import describe_driver
 from .errors import GeometryValidationError
 from .geometry import Hyperplane, as_vector
-from .ifs import SYMBOL_BLOCK, IFSystem, Orbit, _iterate
+from .ifs import IFSystem, Orbit, _iterate
 from .omega import OmegaEstimate, estimate_omega
 
 MIN_ROW_NORM = 1e-12
@@ -145,14 +145,13 @@ def solve(system, driver, tol, max_iter, x0=None):
     estimate of the final 20% of its orbit with ``cluster_eps = max(tol,
     1e-9)``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
     x = np.zeros(system.dim) if x0 is None else as_vector(x0, dim=system.dim)
 
-    blocks = symbol_blocks(driver, max_iter, system.n_rows, SYMBOL_BLOCK)
-    orbit = _iterate(system_to_ifs(system), x, blocks, max_iter,
+    orbit = _iterate(system_to_ifs(system), x, driver, max_iter,
                      stop=lambda pts: system._first_within(pts, tol))
     final_point = orbit.points[-1].copy()
     res = system._residual(final_point)

@@ -115,7 +115,7 @@ def estimate_omega(orbit, burn_in, cluster_eps, driver=None):
     A tail point becomes a new representative iff it lies strictly farther
     than ``cluster_eps`` from all representatives found so far.
     """
-    if cluster_eps <= 0.0:
+    if not cluster_eps > 0.0:
         raise ValueError("cluster_eps must be positive")
     if not 0 <= burn_in < len(orbit.points):
         raise ValueError(

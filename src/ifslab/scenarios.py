@@ -9,6 +9,7 @@ the schema.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -34,11 +35,27 @@ def _require(cond, where, message):
 
 
 def _get(d, key, where, default=None, required=False):
+    _require(isinstance(d, dict), where, f"expected a JSON object, got {type(d).__name__}")
     if key in d:
         return d[key]
     if required:
         raise ScenarioError(f"{where}: missing required key {key!r}")
     return default
+
+
+def _number(d, key, where, default=None, integer=False, low=0):
+    """``d[key]``, required unless a ``default`` is given: an integral JSON
+    number as an ``int`` if ``integer``, else a finite one as a ``float``, and
+    at least ``low``. Anything else raises :class:`ScenarioError` naming the
+    key."""
+    value = _get(d, key, where, default=default, required=default is None)
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if ok and isinstance(value, float):
+        ok = value.is_integer() if integer else isfinite(value)
+    if not (ok and value >= low):
+        kind = "an integer" if integer else "a finite number"
+        raise ScenarioError(f"{where}.{key}: need {kind} of at least {low}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def map_from_dict(d, dim, where):
@@ -140,10 +157,8 @@ class Scenario:
 
 def scenario_from_dict(config):
     """Validate a config dict and build the runnable scenario."""
-    _require(isinstance(config, dict), "config", "top level must be a JSON object")
     name = str(_get(config, "name", "config", default="scenario"))
-    dim = int(_get(config, "dim", "config", required=True))
-    _require(dim >= 1, "config.dim", "dimension must be positive")
+    dim = _number(config, "dim", "config", integer=True, low=1)
 
     raw_maps = _get(config, "maps", "config", required=True)
     _require(isinstance(raw_maps, list) and raw_maps, "config.maps", "need at least one map")
@@ -166,11 +181,10 @@ def scenario_from_dict(config):
     except IfsLabError as exc:
         raise ScenarioError(f"config.x0: {exc}") from exc
 
-    steps = int(_get(config, "steps", "config", required=True))
-    _require(steps >= 1, "config.steps", "need at least one step")
-    burn_in = int(_get(config, "burn_in", "config", default=steps // 10))
-    _require(0 <= burn_in <= steps, "config.burn_in", "burn-in must lie within the run")
-    cluster_eps = float(_get(config, "cluster_eps", "config", default=DEFAULT_CLUSTER_EPS))
+    steps = _number(config, "steps", "config", integer=True, low=1)
+    burn_in = _number(config, "burn_in", "config", default=steps // 10, integer=True)
+    _require(burn_in <= steps, "config.burn_in", "burn-in must lie within the run")
+    cluster_eps = _number(config, "cluster_eps", "config", default=DEFAULT_CLUSTER_EPS)
     _require(cluster_eps > 0, "config.cluster_eps", "cluster_eps must be positive")
 
     reference_cloud = reference_exact = None
@@ -181,15 +195,17 @@ def scenario_from_dict(config):
                  f"reference dimension {reference_cloud.dim} does not match {dim}")
 
     checks = []
-    for i, c in enumerate(_get(config, "checks", "config", default=[])):
+    raw_checks = _get(config, "checks", "config", default=[])
+    _require(isinstance(raw_checks, list), "config.checks", "expected a list of checks")
+    for i, c in enumerate(raw_checks):
         where = f"config.checks[{i}]"
         kind = _get(c, "kind", where, required=True)
         _require(kind in CHECK_KINDS, where, f"unknown check kind {kind!r}")
         norm = {"kind": kind}
         if kind in ("invariance", "superinvariance", "matches_reference", "compare_omegas"):
-            norm["tol"] = float(_get(c, "tol", where, required=True))
+            norm["tol"] = _number(c, "tol", where)
         if kind == "monotone_distance":
-            norm["slack"] = float(c.get("slack", 1e-9))
+            norm["slack"] = _number(c, "slack", where, default=1e-9)
         if kind in ("monotone_distance", "matches_reference"):
             _require(reference_cloud is not None, where,
                      f"{kind} needs a reference_set in the config")

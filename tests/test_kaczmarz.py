@@ -167,6 +167,17 @@ def test_gap_between_examples():
     assert gap_between(antiparallel, 1, 2) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("tol, max_iter, message", [
+    (0.0, 10, "tolerance must be positive"),
+    (-1.0, 10, "tolerance must be positive"),
+    (float("nan"), 10, "tolerance must be positive"),
+    (1e-9, 0, "at least one iteration"),
+], ids=["tol-zero", "tol-negative", "tol-nan", "max-iter-zero"])
+def test_solve_validates_tol_and_max_iter(tol, max_iter, message):
+    with pytest.raises(ValueError, match=message):
+        solve(PARALLEL_PAIR, Cyclic((1, 2)), tol=tol, max_iter=max_iter)
+
+
 def test_solve_custom_driver_exhaustion():
     with pytest.raises(DriverExhaustedError):
         solve(PARALLEL_PAIR, Custom((1, 2, 1)), tol=1e-15, max_iter=10)

@@ -81,6 +81,8 @@ def test_estimate_validates_inputs():
         estimate_omega(orbit, burn_in=11, cluster_eps=1e-6)
     with pytest.raises(ValueError):
         estimate_omega(orbit, burn_in=2, cluster_eps=0.0)
+    with pytest.raises(ValueError, match="cluster_eps must be positive"):
+        estimate_omega(orbit, burn_in=2, cluster_eps=float("nan"))
 
 
 def test_estimate_covering_and_separation_invariants():

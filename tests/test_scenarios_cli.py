@@ -73,6 +73,24 @@ def test_scenario_failing_check():
     ({"burn_in": 100}, "burn-in"),
     ({"checks": [{"kind": "monotone_distance"}]}, "reference_set"),
     ({"x0": [1.0]}, "x0"),
+    # mistyped number fields name their key
+    ({"dim": None}, "config.dim: need an integer"),
+    ({"dim": [2]}, "config.dim: need an integer"),
+    ({"steps": None}, "config.steps: need an integer"),
+    ({"steps": 2.5}, "config.steps: need an integer"),
+    ({"steps": "60"}, "config.steps: need an integer"),
+    ({"steps": True}, "config.steps: need an integer"),
+    ({"burn_in": -1}, "config.burn_in: need an integer of at least 0"),
+    ({"cluster_eps": None}, "config.cluster_eps: need a finite number"),
+    ({"cluster_eps": float("nan")}, "config.cluster_eps: need a finite number"),
+    ({"checks": [{"kind": "invariance", "tol": None}]}, "config.checks[0].tol: need a finite"),
+    ({"checks": [{"kind": "invariance", "tol": float("nan")}]}, "config.checks[0].tol: need"),
+    ({"checks": [{"kind": "invariance", "tol": -1e-9}]}, "config.checks[0].tol: need"),
+    ({"checks": [{"kind": "monotone_distance", "slack": [1e-9]}]}, "config.checks[0].slack"),
+    ({"checks": [{"kind": "monotone_distance", "slack": float("inf")}]},
+     "config.checks[0].slack"),
+    ({"checks": ["invariance"]}, "config.checks[0]: expected a JSON object"),
+    ({"checks": {"kind": "invariance"}}, "config.checks: expected a list"),
 ])
 def test_scenario_validation_errors(breakage, fragment):
     config = minimal_config(**breakage)
@@ -148,6 +166,29 @@ def test_cli_run_exit_two_on_invalid_config(tmp_path, capsys):
     path2.write_text(json.dumps(minimal_config(
         driver={"kind": "custom", "symbols": [1, 9]})))
     assert main(["run", str(path2)]) == 2
+
+
+def test_cli_run_exit_two_on_a_mistyped_number(tmp_path, capsys):
+    path = tmp_path / "null_steps.json"
+    path.write_text(json.dumps(minimal_config(steps=None)))
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config.steps: need an integer") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_nan_tolerances(tmp_path, capsys):
+    sys_csv = tmp_path / "sys.csv"
+    sys_csv.write_text("1,0,1\n0,1,2\n")
+    assert main(["kaczmarz", str(sys_csv), "--tol", "nan"]) == 2
+    assert "tolerance must be positive" in capsys.readouterr().err
+    orbit_csv = tmp_path / "orbit.csv"
+    orbit_csv.write_text(ORBIT_HEAD + "1,1,0.5,0.25\n")
+    out = tmp_path / "omega.json"
+    assert main(["omega", str(orbit_csv), "--burn-in", "0", "--eps", "nan",
+                 "--out", str(out)]) == 2
+    assert "cluster_eps must be positive" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
@@ -309,9 +350,12 @@ ORBIT_HEAD = "n,symbol,x1,x2\n0,,0.5,0.25\n"
     # one non-finite coordinate text on several lines, after another one
     (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,nan,0.25\n3,1,0.5,-inf\n4,2,nan,0.25\n",
      GeometryValidationError, 4),
+    # a non-finite value names its line before a later malformed line
+    (ORBIT_HEAD + "1,1,nan,0.25\n2,2,0.5\n", GeometryValidationError, 3),
+    (ORBIT_HEAD + "1,1,0.5,inf\n2,x,0.5,0.25\n", GeometryValidationError, 3),
 ], ids=["cell", "symbol", "ragged", "blank", "offset", "empty", "row0-symbol", "no-symbol",
         "nan", "inf", "overflow", "repeat-symbol", "repeat-no-symbol", "repeat-short",
-        "repeat-nonfinite"])
+        "repeat-nonfinite", "nonfinite-then-ragged", "nonfinite-then-symbol"])
 def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "orbit.csv"
     path.write_text(text)
@@ -334,8 +378,12 @@ def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     ("1.0,2.0\n3.0,4.0\n1.0,2.0,3.0,4.0\n", GeometryValidationError, 3),
     # one non-finite row text on several lines
     ("1.0,2.0\n3.0,inf\n1.0,2.0\n3.0,inf\n", GeometryValidationError, 2),
+    # a non-finite value names its line before a later malformed line
+    ("1.0,2.0\n3.0,inf\n4.0\n", GeometryValidationError, 2),
+    ("1.0,2.0\n1e999,4.0\n3.0,abc\n", GeometryValidationError, 2),
 ], ids=["cell", "ragged", "offset", "empty", "blank", "whitespace", "inf", "nan",
-        "repeat-short", "repeat-long", "repeat-nonfinite"])
+        "repeat-short", "repeat-long", "repeat-nonfinite", "nonfinite-then-ragged",
+        "overflow-then-cell"])
 def test_cloud_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "cloud.csv"
     path.write_text(text)
@@ -354,7 +402,10 @@ def test_cloud_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     ("1.0,0.0,2.0\n0.0,1.0,1.0\n1.0,0.0,2.0\n1.0,0.0\n", 4),
     # one non-finite row text on several lines, the first after a good repeat
     ("1.0,0.0,2.0\n1.0,0.0,2.0\n0.0,nan,1.0\n1.0,0.0,2.0\n0.0,nan,1.0\n", 3),
-], ids=["cell", "ragged", "offset", "nan", "inf", "repeat-ragged", "repeat-nonfinite"])
+    # a non-finite value names its line before a later malformed line
+    ("1.0,0.0,2.0\n0.0,nan,1.0\n0.0,1.0\n", 2),
+], ids=["cell", "ragged", "offset", "nan", "inf", "repeat-ragged", "repeat-nonfinite",
+        "nonfinite-then-ragged"])
 def test_linear_system_csv_faults_name_the_file_and_line(tmp_path, text, line):
     path = tmp_path / "system.csv"
     path.write_text(text)
