@@ -14,9 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import drivers, fileio, kaczmarz, omega, scenarios
+from . import drivers, fileio, geometry, kaczmarz, omega, scenarios
 from .errors import IfsLabError
 
 EXIT_OK = 0
@@ -24,16 +22,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 
 
-def _load_config(path):
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise scenarios.ScenarioError(
-            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-
-
 def _cmd_run(args):
-    scenario = scenarios.scenario_from_dict(_load_config(args.config))
+    text = Path(args.config).read_text()
+    with scenarios._at(args.config):
+        config = json.loads(text)
+    scenario = scenarios.scenario_from_dict(config)
     result = scenarios.run_scenario(scenario)
 
     out_dir = Path(args.out_dir)
@@ -62,17 +55,22 @@ def _cmd_omega(args):
     if args.out:
         fileio.write_json(args.out, payload)
     else:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     return EXIT_OK
+
+
+def _listed(text, parse, option):
+    """A comma-separated option value parsed item by item, or None if unset."""
+    with scenarios._at(option):
+        return [parse(s) for s in text.split(",")] if text else None
 
 
 def _driver_from_args(args, n_symbols):
     """The driver the options name, built by the same code as config drivers."""
-    def listed(text, parse):
-        return [parse(s) for s in text.split(",")] if text else None
-
-    d = {"kind": args.kind, "seed": args.seed, "permutation": listed(args.perm, int),
-         "weights": listed(args.weights, float), "symbols": listed(args.symbols, int)}
+    d = {"kind": args.kind, "seed": args.seed,
+         "permutation": _listed(args.perm, int, "--perm"),
+         "weights": _listed(args.weights, float, "--weights"),
+         "symbols": _listed(args.symbols, int, "--symbols")}
     return scenarios.driver_from_dict({k: v for k, v in d.items() if v is not None},
                                       args.alphabet or n_symbols, "driver")
 
@@ -87,8 +85,15 @@ def _cmd_driver_gen(args):
 
 
 def _read_sequence(path):
-    lines = [line.strip() for line in Path(path).read_text().splitlines()]
-    return [int(line) for line in lines if line]
+    """The symbols of a file with one per line; blank lines are skipped."""
+    symbols = []
+    for n, line in enumerate(Path(path).read_text().splitlines(), 1):
+        text = line.strip()
+        if text.isdecimal():
+            symbols.append(int(text))
+        elif text:
+            raise scenarios.ScenarioError(f"{path}, line {n}: not a symbol: {text!r}")
+    return symbols
 
 
 def _cmd_driver_audit(args):
@@ -119,14 +124,13 @@ def _cmd_driver_audit(args):
 def _cmd_kaczmarz(args):
     system = fileio.read_linear_system_csv(args.system)
     spec = _driver_from_args(args, system.n_rows)
-    x0 = None
-    if args.x0:
-        x0 = np.asarray([float(c) for c in args.x0.split(",")], dtype=float)
+    with scenarios._at("--x0"):
+        x0 = geometry.as_vector(args.x0.split(","), system.dim, "start point") if args.x0 else None
     report = kaczmarz.solve(system, spec, tol=args.tol, max_iter=args.max_iter, x0=x0)
     payload = report.to_dict()
     if args.out:
         fileio.write_json(args.out, payload)
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return EXIT_OK
 
 

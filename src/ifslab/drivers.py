@@ -12,12 +12,27 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+import reprlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DriverExhaustedError, SymbolRangeError
+
+
+def _integral(values, what, ndim=0):
+    """``values`` as an int (``ndim=0``) or a list of ints (``ndim=1``). An
+    integral float such as ``2.0`` reads as an integer; ``2.5``, ``nan``, a
+    string, ``None`` or a boolean raises ``ValueError`` naming ``what``."""
+    if ndim == 0 and type(values) is int:  # of any size, as a seed may be
+        return values
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and (np.trunc(arr) == arr).all() and (abs(arr) < 2.0**63).all():
+        arr = arr.astype(np.int64)
+    if arr.dtype.kind not in "iu" or arr.ndim != ndim:
+        raise ValueError(f"{what} must be integral, got {reprlib.repr(values)}")
+    return arr.tolist()
 
 
 @dataclass(frozen=True)
@@ -27,7 +42,7 @@ class Cyclic:
     permutation: tuple
 
     def __post_init__(self):
-        perm = tuple(int(p) for p in self.permutation)
+        perm = tuple(_integral(self.permutation, "permutation", ndim=1))
         if sorted(perm) != list(range(1, len(perm) + 1)):
             raise ValueError(f"not a permutation of 1..{len(perm)}: {perm}")
         object.__setattr__(self, "permutation", perm)
@@ -53,7 +68,7 @@ class IidRandom:
             raise ValueError(f"weights must be finite and strictly positive, got {w!r}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", _integral(self.seed, "seed"))
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -76,9 +91,10 @@ class DisjunctiveEnumeration:
     n_symbols: int
 
     def __post_init__(self):
-        if int(self.n_symbols) < 1:
+        n = _integral(self.n_symbols, "alphabet size")
+        if n < 1:
             raise ValueError("alphabet size must be at least 1")
-        object.__setattr__(self, "n_symbols", int(self.n_symbols))
+        object.__setattr__(self, "n_symbols", n)
 
     def stream(self):
         return _EnumerationStream(self)
@@ -92,8 +108,9 @@ class Custom:
     alphabet_size: int = None
 
     def __post_init__(self):
-        syms = tuple(int(s) for s in self.symbols)
-        n = max(syms, default=1) if self.alphabet_size is None else int(self.alphabet_size)
+        syms = tuple(_integral(self.symbols, "symbols", ndim=1))
+        n = max(syms, default=1) if self.alphabet_size is None \
+            else _integral(self.alphabet_size, "alphabet size")
         check_symbols(np.asarray(syms, dtype=np.int64), n)
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "alphabet_size", n)

@@ -134,7 +134,7 @@ def read_linear_system_csv(path):
 
 
 def write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def render_svg_scatter(path, points, highlights=None):

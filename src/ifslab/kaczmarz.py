@@ -145,8 +145,8 @@ def solve(system, driver, tol, max_iter, x0=None):
     estimate of the final 20% of its orbit with ``cluster_eps = max(tol,
     1e-9)``.
     """
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
     x = np.zeros(system.dim) if x0 is None else as_vector(x0, dim=system.dim)

@@ -115,8 +115,8 @@ def estimate_omega(orbit, burn_in, cluster_eps, driver=None):
     A tail point becomes a new representative iff it lies strictly farther
     than ``cluster_eps`` from all representatives found so far.
     """
-    if not cluster_eps > 0.0:
-        raise ValueError("cluster_eps must be positive")
+    if not 0.0 < cluster_eps < np.inf:
+        raise ValueError(f"cluster_eps must be positive and finite, got {cluster_eps!r}")
     if not 0 <= burn_in < len(orbit.points):
         raise ValueError(
             f"burn-in {burn_in} must be below the orbit length {len(orbit.points)}"

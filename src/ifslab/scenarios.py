@@ -8,6 +8,7 @@ the schema.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import isfinite
 
@@ -26,7 +27,7 @@ CHECK_KINDS = ("invariance", "superinvariance", "monotone_distance",
 
 
 class ScenarioError(IfsLabError, ValueError):
-    """A scenario config failed validation."""
+    """A scenario config value or a command-line input failed validation."""
 
 
 def _require(cond, where, message):
@@ -34,21 +35,32 @@ def _require(cond, where, message):
         raise ScenarioError(f"{where}: {message}")
 
 
-def _get(d, key, where, default=None, required=False):
-    _require(isinstance(d, dict), where, f"expected a JSON object, got {type(d).__name__}")
-    if key in d:
-        return d[key]
-    if required:
-        raise ScenarioError(f"{where}: missing required key {key!r}")
-    return default
+@contextmanager
+def _at(where):
+    """Turn a ``KeyError``, ``TypeError``, ``ValueError`` or :class:`IfsLabError`
+    raised while an outside value is read (a config key, a command-line option)
+    into a :class:`ScenarioError` naming ``where``. A ``ScenarioError`` passes."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except KeyError as exc:
+        raise ScenarioError(f"{where}: missing required key {exc}") from exc
+    except (TypeError, ValueError, IfsLabError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _object(value, where):
+    _require(isinstance(value, dict), where, f"expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _number(d, key, where, default=None, integer=False, low=0):
     """``d[key]``, required unless a ``default`` is given: an integral JSON
     number as an ``int`` if ``integer``, else a finite one as a ``float``, and
     at least ``low``. Anything else raises :class:`ScenarioError` naming the
-    key."""
-    value = _get(d, key, where, default=default, required=default is None)
+    key; a missing key raises ``KeyError`` for the caller's :func:`_at`."""
+    value = d[key] if default is None else d.get(key, default)
     ok = isinstance(value, (int, float)) and not isinstance(value, bool)
     if ok and isinstance(value, float):
         ok = value.is_integer() if integer else isfinite(value)
@@ -59,8 +71,8 @@ def _number(d, key, where, default=None, integer=False, low=0):
 
 
 def map_from_dict(d, dim, where):
-    kind = _get(d, "kind", where, required=True)
-    try:
+    with _at(where):
+        kind = _object(d, where)["kind"]
         if kind == "hyperplane":
             return geometry.Hyperplane(d["normal"], d["offset"])
         if kind == "affine_subspace":
@@ -78,66 +90,51 @@ def map_from_dict(d, dim, where):
             return geometry.Box(d["lower"], d["upper"])
         if kind == "affine":
             return ifs.AffineMap(np.asarray(d["matrix"], dtype=float), d["shift"])
-    except KeyError as exc:
-        raise ScenarioError(f"{where}: missing key {exc} for map kind {kind!r}") from exc
-    except IfsLabError as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown map kind {kind!r}")
 
 
 def driver_from_dict(d, n_maps, where):
     """Build a driver spec over ``n_maps`` symbols. With ``n_maps`` None,
     drivers that need an alphabet size and are not given one fail."""
-    kind = _get(d, "kind", where, required=True)
+    with _at(where):
+        kind = _object(d, where)["kind"]
 
-    def size(n, needs):
-        _require(n is not None, where, f"{kind} driver needs {needs}")
-        return n
+        def size(n, needs):
+            _require(n is not None, where, f"{kind} driver needs {needs}")
+            return n
 
-    try:
         if kind == "cyclic":
             if "permutation" in d:
-                return drivers.Cyclic(tuple(d["permutation"]))
+                return drivers.Cyclic(d["permutation"])
             n_perm = size(n_maps, "a permutation or an alphabet size")
             return drivers.Cyclic(tuple(range(1, n_perm + 1)))
         if kind == "iid":
-            seed = _get(d, "seed", where, required=True)
             if "weights" in d:
-                return drivers.IidRandom(seed, tuple(d["weights"]))
-            return drivers.IidRandom.uniform(seed, size(n_maps, "weights or an alphabet size"))
+                return drivers.IidRandom(d["seed"], d["weights"])
+            return drivers.IidRandom.uniform(d["seed"], size(n_maps, "weights or an alphabet size"))
         if kind == "disjunctive":
             return drivers.DisjunctiveEnumeration(size(d.get("alphabet", n_maps),
                                                        "an alphabet size"))
         if kind == "custom":
-            return drivers.Custom(tuple(d["symbols"]), d.get("alphabet", n_maps))
-    except ScenarioError:
-        raise
-    except KeyError as exc:
-        raise ScenarioError(f"{where}: missing key {exc} for driver kind {kind!r}") from exc
-    except (IfsLabError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
+            return drivers.Custom(d["symbols"], d.get("alphabet", n_maps))
     raise ScenarioError(f"{where}: unknown driver kind {kind!r}")
 
 
 def reference_from_dict(d, where):
     """Build ``(cloud, exact_or_none)`` from a reference description."""
-    kind = _get(d, "kind", where, required=True)
-    try:
+    with _at(where):
+        kind = _object(d, where)["kind"]
         if kind == "points":
-            return PointCloud(_get(d, "points", where, required=True)), None
+            return PointCloud(d["points"]), None
         if kind == "square_corners":
             return PointCloud(np.asarray(SQUARE_CORNERS)), None
         if kind == "triangle_boundary":
             vertices = np.asarray(d.get("vertices", TRIANGLE_VERTICES), dtype=float)
             _require(vertices.shape == (3, 2), where, "triangle_boundary needs three 2-d vertices")
-            spacing = float(d.get("spacing", 5e-3))
+            spacing = _number(d, "spacing", where, default=5e-3)
             _require(spacing > 0, where, "spacing must be positive")
             segments = omega.SegmentSet(vertices, np.roll(vertices, -1, axis=0))
             return PointCloud(segments.sample_points(spacing)), segments
-    except ScenarioError:
-        raise
-    except (IfsLabError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from exc
     raise ScenarioError(f"{where}: unknown reference kind {kind!r}")
 
 
@@ -157,61 +154,61 @@ class Scenario:
 
 def scenario_from_dict(config):
     """Validate a config dict and build the runnable scenario."""
-    name = str(_get(config, "name", "config", default="scenario"))
-    dim = _number(config, "dim", "config", integer=True, low=1)
+    with _at("config"):
+        name = _object(config, "config").get("name", "scenario")
+        _require(isinstance(name, str) and name not in ("", ".", "..")
+                 and not any(c in name for c in "/\\\0"), "config.name",
+                 f"need a nonempty file stem without a path separator, got {name!r}")
+        dim = _number(config, "dim", "config", integer=True, low=1)
 
-    raw_maps = _get(config, "maps", "config", required=True)
-    _require(isinstance(raw_maps, list) and raw_maps, "config.maps", "need at least one map")
-    maps = tuple(map_from_dict(m, dim, f"config.maps[{i}]") for i, m in enumerate(raw_maps))
-    try:
-        system = ifs.IFSystem(maps, dim)
-    except IfsLabError as exc:
-        raise ScenarioError(f"config.maps: {exc}") from exc
+        raw_maps = config["maps"]
+        _require(isinstance(raw_maps, list) and raw_maps, "config.maps", "need at least one map")
+        maps = tuple(map_from_dict(m, dim, f"config.maps[{i}]") for i, m in enumerate(raw_maps))
+        with _at("config.maps"):
+            system = ifs.IFSystem(maps, dim)
 
-    driver = driver_from_dict(_get(config, "driver", "config", required=True),
-                              system.n_maps, "config.driver")
-    _require(driver.n_symbols <= system.n_maps or isinstance(driver, drivers.Custom),
-             "config.driver", f"driver alphabet {driver.n_symbols} exceeds map count {system.n_maps}")
-    if isinstance(driver, drivers.Custom):
-        _require(max(driver.symbols, default=1) <= system.n_maps, "config.driver",
-                 "custom symbols exceed the map count")
+        driver = driver_from_dict(config["driver"], system.n_maps, "config.driver")
+        _require(driver.n_symbols <= system.n_maps or isinstance(driver, drivers.Custom),
+                 "config.driver", f"driver alphabet {driver.n_symbols} exceeds map count {system.n_maps}")
+        if isinstance(driver, drivers.Custom):
+            _require(max(driver.symbols, default=1) <= system.n_maps, "config.driver",
+                     "custom symbols exceed the map count")
 
-    try:
-        x0 = geometry.as_vector(_get(config, "x0", "config", required=True), dim=dim)
-    except IfsLabError as exc:
-        raise ScenarioError(f"config.x0: {exc}") from exc
+        x0 = config["x0"]
+        with _at("config.x0"):
+            x0 = geometry.as_vector(x0, dim=dim)
 
-    steps = _number(config, "steps", "config", integer=True, low=1)
-    burn_in = _number(config, "burn_in", "config", default=steps // 10, integer=True)
-    _require(burn_in <= steps, "config.burn_in", "burn-in must lie within the run")
-    cluster_eps = _number(config, "cluster_eps", "config", default=DEFAULT_CLUSTER_EPS)
-    _require(cluster_eps > 0, "config.cluster_eps", "cluster_eps must be positive")
+        steps = _number(config, "steps", "config", integer=True, low=1)
+        burn_in = _number(config, "burn_in", "config", default=steps // 10, integer=True)
+        _require(burn_in <= steps, "config.burn_in", "burn-in must lie within the run")
+        cluster_eps = _number(config, "cluster_eps", "config", default=DEFAULT_CLUSTER_EPS)
+        _require(cluster_eps > 0, "config.cluster_eps", "cluster_eps must be positive")
 
-    reference_cloud = reference_exact = None
-    if "reference_set" in config:
-        reference_cloud, reference_exact = reference_from_dict(
-            config["reference_set"], "config.reference_set")
-        _require(reference_cloud.dim == dim, "config.reference_set",
-                 f"reference dimension {reference_cloud.dim} does not match {dim}")
+        reference_cloud = reference_exact = None
+        if "reference_set" in config:
+            reference_cloud, reference_exact = reference_from_dict(
+                config["reference_set"], "config.reference_set")
+            _require(reference_cloud.dim == dim, "config.reference_set",
+                     f"reference dimension {reference_cloud.dim} does not match {dim}")
 
-    checks = []
-    raw_checks = _get(config, "checks", "config", default=[])
+        raw_checks = config.get("checks", [])
     _require(isinstance(raw_checks, list), "config.checks", "expected a list of checks")
+    checks = []
     for i, c in enumerate(raw_checks):
         where = f"config.checks[{i}]"
-        kind = _get(c, "kind", where, required=True)
-        _require(kind in CHECK_KINDS, where, f"unknown check kind {kind!r}")
-        norm = {"kind": kind}
-        if kind in ("invariance", "superinvariance", "matches_reference", "compare_omegas"):
-            norm["tol"] = _number(c, "tol", where)
-        if kind == "monotone_distance":
-            norm["slack"] = _number(c, "slack", where, default=1e-9)
-        if kind in ("monotone_distance", "matches_reference"):
-            _require(reference_cloud is not None, where,
-                     f"{kind} needs a reference_set in the config")
-        if kind == "compare_omegas":
-            norm["driver"] = driver_from_dict(_get(c, "driver", where, required=True),
-                                              system.n_maps, f"{where}.driver")
+        with _at(where):
+            kind = _object(c, where)["kind"]
+            _require(kind in CHECK_KINDS, where, f"unknown check kind {kind!r}")
+            norm = {"kind": kind}
+            if kind in ("invariance", "superinvariance", "matches_reference", "compare_omegas"):
+                norm["tol"] = _number(c, "tol", where)
+            if kind == "monotone_distance":
+                norm["slack"] = _number(c, "slack", where, default=1e-9)
+            if kind in ("monotone_distance", "matches_reference"):
+                _require(reference_cloud is not None, where,
+                         f"{kind} needs a reference_set in the config")
+            if kind == "compare_omegas":
+                norm["driver"] = driver_from_dict(c["driver"], system.n_maps, f"{where}.driver")
         checks.append(norm)
 
     return Scenario(

@@ -56,6 +56,33 @@ def test_cyclic_rejects_non_permutation():
         Cyclic((1, 1, 2))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Cyclic((1.5, 2)),
+    lambda: Cyclic(("1", 2)),
+    lambda: Cyclic(None),
+    lambda: Custom((1.9, 2)),
+    lambda: Custom((1, 2), alphabet_size=2.5),
+    lambda: IidRandom(3.7, (1.0,)),
+    lambda: IidRandom(float("nan"), (1.0,)),
+    lambda: IidRandom(None, (1.0,)),
+    lambda: DisjunctiveEnumeration(2.9),
+    lambda: DisjunctiveEnumeration(True),
+], ids=["cyclic", "cyclic-str", "cyclic-none", "custom", "custom-alphabet", "iid-seed",
+        "iid-nan-seed", "iid-none-seed", "enumeration", "enumeration-bool"])
+def test_driver_integers_reject_non_integral_values(build):
+    with pytest.raises(ValueError, match="must be integral"):
+        build()
+
+
+def test_driver_integers_read_integral_floats():
+    assert Cyclic((2.0, 1.0)) == Cyclic((2, 1))
+    assert Custom((1.0, 2.0), alphabet_size=3.0) == Custom((1, 2), 3)
+    assert IidRandom(3.0, (1.0,)) == IidRandom(3, (1.0,))
+    assert DisjunctiveEnumeration(2.0) == DisjunctiveEnumeration(2)
+    assert isinstance(IidRandom(np.int64(5), (1.0,)).seed, int)
+    assert IidRandom(2**70, (1.0,)).seed == 2**70  # seeds wider than 64 bits stay
+
+
 def test_enumeration_first_symbols():
     assert generate(DisjunctiveEnumeration(2), 8).tolist() == [1, 2, 1, 1, 1, 2, 2, 1]
 

@@ -262,3 +262,10 @@ def test_cloud_csv_accepted_layouts(tmp_path, text):
     path.write_text(text)
     assert fileio.read_cloud_csv(path).points.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_write_json_rejects_non_finite_values_and_writes_nothing(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        fileio.write_json(path, {"tol": value})
+    assert not path.exists()

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifslab import fileio
 from ifslab.cli import main
@@ -91,6 +93,15 @@ def test_scenario_failing_check():
      "config.checks[0].slack"),
     ({"checks": ["invariance"]}, "config.checks[0]: expected a JSON object"),
     ({"checks": {"kind": "invariance"}}, "config.checks: expected a list"),
+    # a name is a plain file stem
+    ({"name": None}, "config.name: need a nonempty file stem"),
+    ({"name": 3}, "config.name: need a nonempty file stem"),
+    ({"name": ""}, "config.name: need a nonempty file stem"),
+    ({"name": "."}, "config.name: need a nonempty file stem"),
+    ({"name": ".."}, "config.name: need a nonempty file stem"),
+    ({"name": "../escaped"}, "config.name: need a nonempty file stem"),
+    ({"name": "a/b"}, "config.name: need a nonempty file stem"),
+    ({"name": "a\\b"}, "config.name: need a nonempty file stem"),
 ])
 def test_scenario_validation_errors(breakage, fragment):
     config = minimal_config(**breakage)
@@ -107,6 +118,49 @@ def test_scenario_validation_errors(breakage, fragment):
 def test_reference_set_errors_name_the_config_key(reference):
     with pytest.raises(ScenarioError, match=r"^config\.reference_set: "):
         scenario_from_dict(minimal_config(reference_set=reference))
+
+
+def _mistype(config, path, value):
+    """``config`` with the value at ``path`` (keys and list indices) replaced."""
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return config
+
+
+def _leaves(value, path=()):
+    """The paths (keys and list indices) of every JSON leaf under ``value``."""
+    if isinstance(value, dict):
+        return [p for k, v in value.items() for p in _leaves(v, (*path, k))]
+    if isinstance(value, list):
+        return [p for i, v in enumerate(value) for p in _leaves(v, (*path, i))]
+    return [path]
+
+
+def _config_path(path):
+    return "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+
+
+PRESET_LEAVES = [(name, path) for name in PRESET_NAMES
+                 for path in _leaves(preset_config(name))]
+MISTYPED = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.one_of(st.none(), st.integers(-2, 5), st.floats(), st.text(max_size=2)),
+             max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(-2, 5), max_size=2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(leaf=st.sampled_from(PRESET_LEAVES), value=MISTYPED)
+def test_a_mistyped_config_value_is_named_or_accepted(leaf, value):
+    name, path = leaf
+    try:
+        scenario_from_dict(_mistype(preset_config(name), path, value))
+    except ScenarioError as exc:
+        where = str(exc).split(": ", 1)[0]
+        assert any(where == _config_path(path[:k]) for k in range(len(path) + 1)), str(exc)
 
 
 def test_presets_parse_and_small_ones_pass():
@@ -189,6 +243,76 @@ def test_cli_rejects_nan_tolerances(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "cluster_eps must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rejects_infinite_tolerances(tmp_path, capsys):
+    sys_csv = tmp_path / "sys.csv"
+    sys_csv.write_text("1,0,1\n0,1,2\n")
+    out = tmp_path / "solve.json"
+    assert main(["kaczmarz", str(sys_csv), "--tol", "inf", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tolerance must be positive" in captured.err
+    assert not out.exists()
+    orbit_csv = tmp_path / "orbit.csv"
+    orbit_csv.write_text(ORBIT_HEAD + "1,1,0.5,0.25\n")
+    out = tmp_path / "omega.json"
+    assert main(["omega", str(orbit_csv), "--burn-in", "0", "--eps", "inf",
+                 "--out", str(out)]) == 2
+    assert "cluster_eps must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset, path, value, prefix", [
+    ("example2_parallel", ("maps", 1, "offset"), None, "config.maps[1]: "),
+    ("example2_parallel", ("maps", 1), {"kind": "ball", "center": [0, 0], "radius": None},
+     "config.maps[1]: "),
+    ("example2_parallel", ("maps", 0),
+     {"kind": "affine_subspace", "anchor": [0, 0], "directions": None}, "config.maps[0]: "),
+    ("example2_parallel", ("driver",), {"kind": "iid", "seed": None}, "config.driver: "),
+    ("example2_parallel", ("driver", "permutation"), None, "config.driver: "),
+    ("example2_parallel", ("driver", "permutation"), [1.5, 2], "config.driver: "),
+    ("example4_triangle", ("reference_set", "spacing"), None,
+     "config.reference_set.spacing: "),
+    ("example4_triangle", ("checks", 3, "driver", "seed"), None, "config.checks[3].driver: "),
+    ("example2_parallel", ("name",), None, "config.name: "),
+    ("example2_parallel", ("name",), "../escaped", "config.name: "),
+], ids=["offset", "radius", "directions", "seed", "permutation", "permutation-1.5",
+        "spacing", "check-driver-seed", "name", "name-escapes"])
+def test_cli_run_names_a_mistyped_value(tmp_path, capsys, preset, path, value, prefix):
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps(_mistype(preset_config(preset), path, value)))
+    assert main(["run", str(conf), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + prefix) and "Traceback" not in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "escaped.orbit.csv").exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    (["driver", "gen", "--kind", "cyclic", "--n", "4", "--perm", "1,x"], "--perm"),
+    (["driver", "gen", "--kind", "iid", "--seed", "1", "--n", "4", "--weights", "0.5,y"],
+     "--weights"),
+    (["driver", "gen", "--kind", "custom", "--n", "2", "--symbols", "1,2.5"], "--symbols"),
+    (["kaczmarz", "SYSTEM", "--x0", "1,a"], "--x0"),
+], ids=["perm", "weights", "symbols", "x0"])
+def test_cli_options_name_a_bad_item(tmp_path, capsys, command, option):
+    sys_csv = tmp_path / "sys.csv"
+    sys_csv.write_text("1,0,1\n0,1,2\n")
+    command = [str(sys_csv) if c == "SYSTEM" else c for c in command]
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {option}: ")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("1\n2\nx\n", 3),
+    ("1\n2.5\n", 2),
+    ("1\n\n  \n2\n1e0\n", 5),
+], ids=["word", "fraction", "after-blank-lines"])
+def test_cli_driver_audit_names_the_line_of_a_bad_symbol(tmp_path, capsys, text, line):
+    seq = tmp_path / "seq.txt"
+    seq.write_text(text)
+    assert main(["driver", "audit", str(seq), "--m", "1"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {seq}, line {line}: ")
 
 
 @pytest.mark.parametrize("offset", [float("nan"), float("inf"), float("-inf")])
