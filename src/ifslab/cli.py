@@ -49,7 +49,11 @@ def _cmd_run(args):
 
 
 def _cmd_omega(args):
+    with scenarios._at("--eps"):
+        omega._check_cluster_eps(args.eps)
     orbit = fileio.read_orbit_csv(args.orbit)
+    with scenarios._at("--burn-in"):
+        omega._check_burn_in(args.burn_in, orbit)
     estimate = omega.estimate_omega(orbit, burn_in=args.burn_in, cluster_eps=args.eps)
     payload = estimate.to_dict()
     if args.out:
@@ -122,6 +126,10 @@ def _cmd_driver_audit(args):
 
 
 def _cmd_kaczmarz(args):
+    with scenarios._at("--tol"):
+        kaczmarz._check_tol(args.tol)
+    with scenarios._at("--max-iter"):
+        kaczmarz._check_max_iter(args.max_iter)
     system = fileio.read_linear_system_csv(args.system)
     spec = _driver_from_args(args, system.n_rows)
     with scenarios._at("--x0"):

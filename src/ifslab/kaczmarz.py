@@ -29,6 +29,11 @@ PARALLEL_ANGLE_TOL = 1e-10
 # far the product's rounding can move a residual.
 SCREEN_SLACK = 4.0
 
+# The screen's first stage takes the residuals on this many leading rows, at
+# O(d) a point. A Kaczmarz step zeroes one row's residual, so until the orbit
+# nears tol few points pass them all and go on to the m rows.
+SCREEN_ROWS = 4
+
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
@@ -52,8 +57,17 @@ class LinearSystem:
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "rhs", b)
         # The rows scaled to unit normals, read by residual and solve.
-        object.__setattr__(self, "_a_unit", a / norms[:, None])
-        object.__setattr__(self, "_b_unit", b / norms)
+        a_unit, b_unit = a / norms[:, None], b / norms
+        object.__setattr__(self, "_a_unit", a_unit)
+        object.__setattr__(self, "_b_unit", b_unit)
+        # The stop screen's constants (see _first_within): the first stage's
+        # rows, SCREEN_SLACK gamma_{d+2}, sqrt(d) (1 + 4 nu), max |b_i|/|a_i|.
+        nu = (a.shape[1] + 2) * np.finfo(float).eps / 2
+        object.__setattr__(self, "_a_few", a_unit[:SCREEN_ROWS])
+        object.__setattr__(self, "_b_few", b_unit[:SCREEN_ROWS, None])
+        object.__setattr__(self, "_slack_gamma", SCREEN_SLACK * nu / (1.0 - nu))
+        object.__setattr__(self, "_root_d", np.sqrt(a.shape[1]) * (1.0 + 4.0 * nu))
+        object.__setattr__(self, "_b_max", float(np.abs(b_unit).max()))
 
     @property
     def dim(self):
@@ -81,18 +95,36 @@ class LinearSystem:
         """Index of the first of the ``(k, d)`` points whose :meth:`_residual`
         is at most ``tol``, or ``None``.
 
-        One matrix product screens all the points. Its residuals differ from
-        :meth:`_residual`'s by at most ``2 gamma_{d+1} (|p| + max_i |b_i| /
-        |a_i|)``, with ``gamma_n = n u / (1 - n u)`` and unit roundoff ``u``
-        (the dot-product error bound, Higham 2002 section 3.1). So the screen
-        drops no point within ``tol``, and :meth:`_residual` decides on the
-        points it keeps, in order.
+        A screen in two stages keeps every point that may be within ``tol``,
+        and :meth:`_residual` decides on the points it keeps, in order. Each
+        computed row residual, in :meth:`_residual` or in a product over any
+        of the points and rows, lies within ``gamma_{d+1} (|p| + max_i |b_i|
+        / |a_i|)`` of the exact one, with ``gamma_n = n u / (1 - n u)`` and
+        unit roundoff ``u`` (the dot-product error bound, Higham 2002 section
+        3.1). So a point within ``tol`` has its computed row residuals within
+        ``tol`` plus twice that on every subset of the rows, and the max over
+        a subset is at most the max over all rows. The first stage takes the
+        residuals of all the points on the first ``SCREEN_ROWS`` rows, at
+        O(d) a point; the second, over all ``m`` rows, runs only on the
+        points the first keeps, which are rare until the orbit nears ``tol``,
+        and is skipped when ``m <= SCREEN_ROWS``.
+
+        Both stages allow one margin per block, ``SCREEN_SLACK gamma_{d+2}
+        (sqrt(d) (1 + 4 nu) max_ij |p_ij| + max_i |b_i| / |a_i|)`` with
+        ``gamma_{d+2} = nu / (1 - nu)``. As ``|p| <= sqrt(d) max_j |p_j|``
+        and ``1 + 4 nu`` outweighs the rounding of ``|p|``, of ``sqrt(d)``
+        and of the product, it is never smaller than ``SCREEN_SLACK
+        gamma_{d+2} (|p| + max_i |b_i| / |a_i|)`` computed for any one point
+        of the block, which bounds the rounding twice over.
         """
-        screen = np.abs(points @ self._a_unit.T - self._b_unit).max(axis=1)
-        nu = (self.dim + 2) * np.finfo(float).eps / 2
-        margin = SCREEN_SLACK * nu / (1.0 - nu) * (
-            np.linalg.norm(points, axis=1) + np.abs(self._b_unit).max())
-        for j in np.flatnonzero(screen <= tol + margin).tolist():
+        bound = tol + self._slack_gamma * (
+            self._root_d * max(points.max(), -points.min()) + self._b_max)
+        near = np.flatnonzero(
+            np.abs(self._a_few @ points.T - self._b_few).max(axis=0) <= bound)
+        if len(near) and self.n_rows > SCREEN_ROWS:
+            full = np.abs(points[near] @ self._a_unit.T - self._b_unit).max(axis=1)
+            near = near[full <= bound]
+        for j in near.tolist():
             if self._residual(points[j]) <= tol:
                 return j
         return None
@@ -131,6 +163,16 @@ class SolveReport:
         }
 
 
+def _check_tol(tol):
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
+def _check_max_iter(max_iter):
+    if max_iter < 1:
+        raise ValueError("need at least one iteration")
+
+
 def solve(system, driver, tol, max_iter, x0=None):
     """Project onto row hyperplanes in driver order until the row-normalized
     residual drops to ``tol`` or ``max_iter`` steps have run.
@@ -145,10 +187,8 @@ def solve(system, driver, tol, max_iter, x0=None):
     estimate of the final 20% of its orbit with ``cluster_eps = max(tol,
     1e-9)``.
     """
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-    if max_iter < 1:
-        raise ValueError("need at least one iteration")
+    _check_tol(tol)
+    _check_max_iter(max_iter)
     x = np.zeros(system.dim) if x0 is None else as_vector(x0, dim=system.dim)
 
     orbit = _iterate(system_to_ifs(system), x, driver, max_iter,

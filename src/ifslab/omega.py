@@ -109,18 +109,24 @@ class OmegaEstimate:
         }
 
 
+def _check_cluster_eps(cluster_eps):
+    if not 0.0 < cluster_eps < np.inf:
+        raise ValueError(f"cluster_eps must be positive and finite, got {cluster_eps!r}")
+
+
+def _check_burn_in(burn_in, orbit):
+    if not 0 <= burn_in < len(orbit.points):
+        raise ValueError(f"burn-in {burn_in} must be below the orbit length {len(orbit.points)}")
+
+
 def estimate_omega(orbit, burn_in, cluster_eps, driver=None):
     """Greedy clustering of the orbit tail in arrival order.
 
     A tail point becomes a new representative iff it lies strictly farther
     than ``cluster_eps`` from all representatives found so far.
     """
-    if not 0.0 < cluster_eps < np.inf:
-        raise ValueError(f"cluster_eps must be positive and finite, got {cluster_eps!r}")
-    if not 0 <= burn_in < len(orbit.points):
-        raise ValueError(
-            f"burn-in {burn_in} must be below the orbit length {len(orbit.points)}"
-        )
+    _check_cluster_eps(cluster_eps)
+    _check_burn_in(burn_in, orbit)
     tail = orbit.tail(burn_in)
     reps = greedy_thin(tail, cluster_eps)
     return OmegaEstimate(

@@ -70,26 +70,48 @@ def _number(d, key, where, default=None, integer=False, low=0):
     return int(value) if integer else float(value)
 
 
+def _numbers(d, key, where, default=None):
+    """``d[key]``, required unless a ``default`` is given: a JSON number or
+    nested lists of them. A string, boolean, ``null`` or object anywhere in
+    it raises :class:`ScenarioError` naming the key; a missing key raises
+    ``KeyError`` for the caller's :func:`_at`."""
+    value = d[key] if default is None else d.get(key, default)
+    todo = [value]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (list, tuple)):
+            todo.extend(reversed(item))
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise ScenarioError(f"{where}: {key} must hold only numbers, got {item!r}")
+    return value
+
+
 def map_from_dict(d, dim, where):
     with _at(where):
         kind = _object(d, where)["kind"]
+
+        def num(key, default=None):
+            return _numbers(d, key, where, default)
+
         if kind == "hyperplane":
-            return geometry.Hyperplane(d["normal"], d["offset"])
+            return geometry.Hyperplane(num("normal"), num("offset"))
         if kind == "affine_subspace":
             if "constraints" in d:
                 c = d["constraints"]
-                return geometry.AffineSubspace.from_constraints(c["normals"], c["offsets"])
+                return geometry.AffineSubspace.from_constraints(
+                    _numbers(c, "normals", f"{where}.constraints"),
+                    _numbers(c, "offsets", f"{where}.constraints"))
             if "basis" in d:
-                return geometry.AffineSubspace(d["anchor"], np.asarray(d["basis"], dtype=float))
-            return geometry.AffineSubspace.spanned_by(d["anchor"], d.get("directions", []))
+                return geometry.AffineSubspace(num("anchor"), np.asarray(num("basis"), dtype=float))
+            return geometry.AffineSubspace.spanned_by(num("anchor"), num("directions", []))
         if kind == "halfspace":
-            return geometry.Halfspace(d["normal"], d["offset"])
+            return geometry.Halfspace(num("normal"), num("offset"))
         if kind == "ball":
-            return geometry.Ball(d["center"], d["radius"])
+            return geometry.Ball(num("center"), num("radius"))
         if kind == "box":
-            return geometry.Box(d["lower"], d["upper"])
+            return geometry.Box(num("lower"), num("upper"))
         if kind == "affine":
-            return ifs.AffineMap(np.asarray(d["matrix"], dtype=float), d["shift"])
+            return ifs.AffineMap(np.asarray(num("matrix"), dtype=float), num("shift"))
     raise ScenarioError(f"{where}: unknown map kind {kind!r}")
 
 
@@ -105,18 +127,18 @@ def driver_from_dict(d, n_maps, where):
 
         if kind == "cyclic":
             if "permutation" in d:
-                return drivers.Cyclic(d["permutation"])
+                return drivers.Cyclic(_numbers(d, "permutation", where))
             n_perm = size(n_maps, "a permutation or an alphabet size")
             return drivers.Cyclic(tuple(range(1, n_perm + 1)))
         if kind == "iid":
             if "weights" in d:
-                return drivers.IidRandom(d["seed"], d["weights"])
+                return drivers.IidRandom(d["seed"], _numbers(d, "weights", where))
             return drivers.IidRandom.uniform(d["seed"], size(n_maps, "weights or an alphabet size"))
         if kind == "disjunctive":
             return drivers.DisjunctiveEnumeration(size(d.get("alphabet", n_maps),
                                                        "an alphabet size"))
         if kind == "custom":
-            return drivers.Custom(d["symbols"], d.get("alphabet", n_maps))
+            return drivers.Custom(_numbers(d, "symbols", where), d.get("alphabet", n_maps))
     raise ScenarioError(f"{where}: unknown driver kind {kind!r}")
 
 
@@ -125,11 +147,11 @@ def reference_from_dict(d, where):
     with _at(where):
         kind = _object(d, where)["kind"]
         if kind == "points":
-            return PointCloud(d["points"]), None
+            return PointCloud(_numbers(d, "points", where)), None
         if kind == "square_corners":
             return PointCloud(np.asarray(SQUARE_CORNERS)), None
         if kind == "triangle_boundary":
-            vertices = np.asarray(d.get("vertices", TRIANGLE_VERTICES), dtype=float)
+            vertices = np.asarray(_numbers(d, "vertices", where, TRIANGLE_VERTICES), dtype=float)
             _require(vertices.shape == (3, 2), where, "triangle_boundary needs three 2-d vertices")
             spacing = _number(d, "spacing", where, default=5e-3)
             _require(spacing > 0, where, "spacing must be positive")
@@ -174,7 +196,7 @@ def scenario_from_dict(config):
             _require(max(driver.symbols, default=1) <= system.n_maps, "config.driver",
                      "custom symbols exceed the map count")
 
-        x0 = config["x0"]
+        x0 = _numbers(config, "x0", "config")
         with _at("config.x0"):
             x0 = geometry.as_vector(x0, dim=dim)
 

@@ -23,6 +23,7 @@ from ifslab import (
     system_to_ifs,
 )
 from ifslab.ifs import STEP_BLOCK, symbols_from
+from ifslab.kaczmarz import SCREEN_ROWS
 
 PARALLEL_PAIR = LinearSystem([[0, 1], [0, 1]], [0, 1])  # y=0 and y=1
 
@@ -346,6 +347,83 @@ def test_stop_on_a_sub_block_edge(k):
         report = solve(system, driver, tol=1e-12, max_iter=max_iter, x0=x0)
         assert report.converged and report.iterations == k
         assert np.array_equal(report.orbit.points, expected)
+
+
+def assert_stop_matches_per_step(system, driver, tol, max_iter, x0):
+    expected = per_step_solve(system, driver, tol, max_iter, x0)
+    report = solve(system, driver, tol=tol, max_iter=max_iter, x0=x0)
+    assert report.iterations == len(expected) - 1
+    assert np.array_equal(report.orbit.points, expected)
+    return report
+
+
+def screen_rows_copied(seed, d=40, m=48):
+    """A consistent system whose first ``SCREEN_ROWS`` rows are ``x_d = 0``
+    and whose other rows have ``x_d`` coefficient 0, so an orbit from a start
+    with ``x_d = 0`` meets the first rows exactly at every point."""
+    rng = np.random.default_rng(seed)
+    a = np.zeros((m, d))
+    a[:SCREEN_ROWS, -1] = 1.0
+    a[SCREEN_ROWS:, :-1] = rng.standard_normal((m - SCREEN_ROWS, d - 1))
+    x_true = np.append(rng.standard_normal(d - 1), 0.0)
+    x0 = np.append(100.0 * rng.standard_normal(d - 1), 0.0)
+    return LinearSystem(a, a @ x_true), x0
+
+
+def test_screen_keeps_going_past_points_that_meet_only_the_first_rows():
+    # Every point meets the first rows, x_3 = 0, exactly; rows x_1 = 1 and
+    # x_1 = -1 keep the residual at 1 or more.
+    rows = [[0, 0, 1]] * SCREEN_ROWS + [[1, 0, 0], [0, 1, 0], [-1, 0, 0]]
+    system = LinearSystem(rows, [0] * SCREEN_ROWS + [1, 0, 1])
+    n = system.n_rows
+    for driver in (Cyclic(tuple(range(n, 0, -1))), IidRandom.uniform(5, n)):
+        report = assert_stop_matches_per_step(system, driver, 0.5, 3 * STEP_BLOCK + 7,
+                                              [0.0, 3.0, 0.0])
+        assert not report.converged and report.iterations == 3 * STEP_BLOCK + 7
+
+
+@pytest.mark.parametrize("k", BLOCK_EDGES + (STEP_BLOCK // 2, STEP_BLOCK + 37))
+def test_screen_stops_where_the_residual_equals_tol(k):
+    # Rounding of the screen's products can put a residual that equals tol
+    # on either side of it; the stop follows the exact residual alone.
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        d, m = 30, 36
+        a = rng.standard_normal((m, d))
+        system = LinearSystem(a, a @ rng.standard_normal(d))
+        driver, x0 = IidRandom.uniform(seed, m), 100.0 * rng.standard_normal(d)
+        path = per_step_solve(system, driver, 0.0, k, x0)
+        report = assert_stop_matches_per_step(system, driver, system._residual(path[k]),
+                                              3 * STEP_BLOCK, x0)
+        assert report.converged and report.iterations <= k
+
+
+@pytest.mark.parametrize("m", sorted({1, SCREEN_ROWS - 1, SCREEN_ROWS}))
+def test_screen_of_a_system_with_no_more_rows_than_its_first_stage(m):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        d = 30
+        a = rng.standard_normal((m, d))
+        system = LinearSystem(a, a @ rng.standard_normal(d))
+        x0 = 100.0 * rng.standard_normal(d)
+        for k in BLOCK_EDGES + (STEP_BLOCK + 37,):
+            driver = Cyclic(tuple(range(1, m + 1))) if m > 1 else [1] * (3 * STEP_BLOCK)
+            path = per_step_solve(system, driver, 0.0, k, x0)
+            tol = system._residual(path[min(k, len(path) - 1)])
+            if tol > 0.0:
+                assert_stop_matches_per_step(system, driver, tol, 3 * STEP_BLOCK, x0)
+
+
+@pytest.mark.parametrize("k", BLOCK_EDGES + (STEP_BLOCK + 37,))
+def test_screen_whose_first_rows_pass_every_point(k):
+    for seed in range(4):
+        system, x0 = screen_rows_copied(seed)
+        driver = IidRandom.uniform(seed, system.n_rows)
+        path = per_step_solve(system, driver, 0.0, k, x0)
+        assert not path[:, -1].any()
+        report = assert_stop_matches_per_step(system, driver, system._residual(path[k]),
+                                              3 * STEP_BLOCK, x0)
+        assert report.converged and report.iterations <= k
 
 
 def test_orbit_buffer_grows_with_the_steps_run():

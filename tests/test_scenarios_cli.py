@@ -1,6 +1,7 @@
 """Scenario configs, preset round trips, and the command-line surface."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -118,6 +119,51 @@ def test_scenario_validation_errors(breakage, fragment):
 def test_reference_set_errors_name_the_config_key(reference):
     with pytest.raises(ScenarioError, match=r"^config\.reference_set: "):
         scenario_from_dict(minimal_config(reference_set=reference))
+
+
+HYPERPLANE = {"kind": "hyperplane", "normal": [0, 1], "offset": 0.0}
+
+
+@pytest.mark.parametrize("breakage, prefix", [
+    ({"maps": [{**HYPERPLANE, "normal": ["0", True]}, HYPERPLANE]}, "config.maps[0]: normal"),
+    ({"maps": [{**HYPERPLANE, "normal": [0, True]}, HYPERPLANE]}, "config.maps[0]: normal"),
+    ({"maps": [HYPERPLANE, {**HYPERPLANE, "offset": "1"}]}, "config.maps[1]: offset"),
+    ({"maps": [HYPERPLANE, {**HYPERPLANE, "offset": False}]}, "config.maps[1]: offset"),
+    ({"maps": [HYPERPLANE, {"kind": "ball", "center": ["0", 0], "radius": 1}]},
+     "config.maps[1]: center"),
+    ({"maps": [HYPERPLANE, {"kind": "box", "lower": [0, 0], "upper": [True, 1]}]},
+     "config.maps[1]: upper"),
+    ({"maps": [HYPERPLANE, {"kind": "affine", "matrix": [[0.5, "0"], [0, 0.5]],
+                            "shift": [0, 0]}]}, "config.maps[1]: matrix"),
+    ({"maps": [HYPERPLANE, {"kind": "affine_subspace", "anchor": [0, 0],
+                            "directions": [[1, None]]}]}, "config.maps[1]: directions"),
+    ({"maps": [HYPERPLANE, {"kind": "affine_subspace", "constraints": {
+        "normals": [[0, 1]], "offsets": ["1"]}}]}, "config.maps[1].constraints: offsets"),
+    ({"x0": ["0.1", False]}, "config: x0"),
+    ({"x0": [0.0, {"y": 0.3}]}, "config: x0"),
+    ({"driver": {"kind": "cyclic", "permutation": [True, 2]}}, "config.driver: permutation"),
+    ({"driver": {"kind": "iid", "seed": 1, "weights": ["0.5", 0.5]}},
+     "config.driver: weights"),
+    ({"driver": {"kind": "custom", "symbols": [1, True, 2]}}, "config.driver: symbols"),
+    ({"reference_set": {"kind": "points", "points": [[0, 0], [0, "1"]]}},
+     "config.reference_set: points"),
+    ({"reference_set": {"kind": "triangle_boundary",
+                        "vertices": [[0, 0], [1, 0], [0, True]]}},
+     "config.reference_set: vertices"),
+], ids=["normal-string", "normal-bool", "offset-string", "offset-bool", "ball-center",
+        "box-upper", "affine-matrix", "directions-null", "constraint-offsets", "x0-string",
+        "x0-object", "permutation-bool", "weights-string", "symbols-bool", "points-string",
+        "vertices-bool"])
+def test_config_arrays_hold_only_numbers(tmp_path, capsys, breakage, prefix):
+    config = minimal_config(**breakage)
+    with pytest.raises(ScenarioError, match="^" + re.escape(prefix) + " must hold only numbers"):
+        scenario_from_dict(config)
+    conf = tmp_path / "c.json"
+    conf.write_text(json.dumps(config))
+    assert main(["run", str(conf), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + prefix) and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def _mistype(config, path, value):
@@ -260,6 +306,27 @@ def test_cli_rejects_infinite_tolerances(tmp_path, capsys):
                  "--out", str(out)]) == 2
     assert "cluster_eps must be positive" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    (["kaczmarz", "SYSTEM", "--tol", "inf"], "--tol"),
+    (["kaczmarz", "SYSTEM", "--tol", "0"], "--tol"),
+    (["kaczmarz", "SYSTEM", "--max-iter", "0"], "--max-iter"),
+    (["omega", "ORBIT", "--burn-in", "99", "--eps", "1e-6"], "--burn-in"),
+    (["omega", "ORBIT", "--burn-in", "-1", "--eps", "1e-6"], "--burn-in"),
+    (["omega", "ORBIT", "--burn-in", "0", "--eps", "inf"], "--eps"),
+    (["omega", "ORBIT", "--burn-in", "0", "--eps", "-1"], "--eps"),
+], ids=["tol-inf", "tol-zero", "max-iter-zero", "burn-in-past-the-orbit", "burn-in-negative",
+        "eps-inf", "eps-negative"])
+def test_cli_number_options_name_the_option(tmp_path, capsys, command, option):
+    sys_csv, orbit_csv = tmp_path / "sys.csv", tmp_path / "orbit.csv"
+    sys_csv.write_text("1,0,1\n0,1,2\n")
+    orbit_csv.write_text(ORBIT_HEAD + "1,1,0.5,0.25\n")
+    paths = {"SYSTEM": str(sys_csv), "ORBIT": str(orbit_csv)}
+    assert main([paths.get(c, c) for c in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {option}: ")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("preset, path, value, prefix", [
