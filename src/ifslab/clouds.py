@@ -181,9 +181,6 @@ class PointCloud:
         """Distance from each query point to this cloud (min over members)."""
         return nearest_distances(points_of(np.atleast_2d(x), self.dim, "query points"), self.points)
 
-    def to_list(self):
-        return [[float(c) for c in p] for p in self.points]
-
 
 def distinct_rows(points):
     """The distinct rows of ``(k, d)`` float64 points, told apart by their

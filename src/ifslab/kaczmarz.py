@@ -8,15 +8,14 @@ row projections keep revisiting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import describe_driver
 from .errors import GeometryValidationError
 from .geometry import Hyperplane, as_vector
 from .ifs import IFSystem, Orbit, _iterate
-from .omega import OmegaEstimate, estimate_omega
+from .omega import DRIVER, OMIT, OmegaEstimate, Report, estimate_omega
 
 MIN_ROW_NORM = 1e-12
 
@@ -137,7 +136,7 @@ def system_to_ifs(system):
 
 
 @dataclass(frozen=True, eq=False)
-class SolveReport:
+class SolveReport(Report):
     final_point: np.ndarray
     residual: float
     iterations: int
@@ -145,22 +144,9 @@ class SolveReport:
     max_norm: float
     tol: float
     max_iter: int
-    driver: object
+    driver: object = field(metadata=DRIVER)
     omega: OmegaEstimate = None  # populated when the run stopped at max_iter
-    orbit: Orbit = None
-
-    def to_dict(self):
-        return {
-            "final_point": [float(c) for c in self.final_point],
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "max_norm": self.max_norm,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "driver": describe_driver(self.driver),
-            "omega": self.omega.to_dict() if self.omega is not None else None,
-        }
+    orbit: Orbit = field(default=None, metadata=OMIT)
 
 
 def _check_tol(tol):

@@ -10,7 +10,7 @@ where a sampled stand-in would inject fluctuations at the sampling scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -79,8 +79,43 @@ class SegmentSet:
         return np.vstack(pts)
 
 
+class Report:
+    """Base of the estimate, check and solve reports, which are frozen
+    dataclasses whose verdicts are fields computed by the function that
+    makes the report.
+
+    :meth:`to_dict` is the fields in declaration order, ready for JSON: an
+    array or a :class:`PointCloud` becomes nested lists of floats and a
+    nested report its own dict. A field's ``json`` metadata overrides this:
+    a function to apply to the value (:data:`DRIVER`), or ``None`` to leave
+    the field out (:data:`OMIT`).
+    """
+
+    def to_dict(self):
+        out = {}
+        for f in fields(self):
+            write = f.metadata.get("json", _json_value)
+            if write is not None:
+                out[f.name] = write(getattr(self, f.name))
+        return out
+
+
+def _json_value(value):
+    if isinstance(value, Report):
+        return value.to_dict()
+    if isinstance(value, PointCloud):
+        value = value.points
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+# Field metadata of Report: a driver written by describe_driver; a field left
+# out of to_dict.
+DRIVER = {"json": describe_driver}
+OMIT = {"json": None}
+
+
 @dataclass(frozen=True, eq=False)
-class OmegaEstimate:
+class OmegaEstimate(Report):
     """Finite approximation of the omega-limit set of an orbit tail.
 
     Every tail point lies within ``cluster_eps`` of some representative and
@@ -92,26 +127,19 @@ class OmegaEstimate:
     tail_length: int
     cluster_eps: float
     x0: np.ndarray
-    driver: object = None
-
-    @property
-    def dim(self):
-        return self.representatives.dim
-
-    def to_dict(self):
-        return {
-            "representatives": self.representatives.to_list(),
-            "burn_in": self.burn_in,
-            "tail_length": self.tail_length,
-            "cluster_eps": self.cluster_eps,
-            "x0": [float(c) for c in self.x0],
-            "driver": describe_driver(self.driver),
-        }
+    driver: object = field(default=None, metadata=DRIVER)
 
 
 def _check_cluster_eps(cluster_eps):
     if not 0.0 < cluster_eps < np.inf:
         raise ValueError(f"cluster_eps must be positive and finite, got {cluster_eps!r}")
+
+
+def _check_tolerance(value, name):
+    """``value`` as a float, if it is finite and at least 0."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and at least 0, got {value!r}")
+    return float(value)
 
 
 def _check_burn_in(burn_in, orbit):
@@ -155,85 +183,52 @@ def hausdorff(cloud_a, cloud_b):
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(Report):
     """Directed excesses of one Hutchinson application against a cloud."""
 
     forward_excess: float  # directed Hausdorff from Phi(S) to S; small => subinvariant
     backward_excess: float  # directed Hausdorff from S to Phi(S); small => superinvariant
+    symmetric_excess: float
     tolerance: float
-
-    @property
-    def symmetric_excess(self):
-        return max(self.forward_excess, self.backward_excess)
-
-    @property
-    def subinvariant(self):
-        return self.forward_excess <= self.tolerance
-
-    @property
-    def superinvariant(self):
-        return self.backward_excess <= self.tolerance
-
-    @property
-    def invariant(self):
-        return self.subinvariant and self.superinvariant
-
-    def to_dict(self):
-        return {
-            "forward_excess": self.forward_excess,
-            "backward_excess": self.backward_excess,
-            "symmetric_excess": self.symmetric_excess,
-            "tolerance": self.tolerance,
-            "subinvariant": self.subinvariant,
-            "superinvariant": self.superinvariant,
-            "invariant": self.invariant,
-        }
+    subinvariant: bool
+    superinvariant: bool
+    invariant: bool
 
 
 def check_invariance(system, cloud, tol):
-    """Compare ``Phi(S)`` against ``S`` by directed Hausdorff excesses."""
+    """Compare ``Phi(S)`` against ``S`` by directed Hausdorff excesses; ``tol``
+    must be finite and at least 0."""
+    tol = _check_tolerance(tol, "tol")
     pts = points_of(cloud)
     image = hutchinson(system, pts)
+    forward = directed_hausdorff_distance(image.points, pts)
+    backward = directed_hausdorff_distance(pts, image.points)
     return InvarianceReport(
-        forward_excess=directed_hausdorff_distance(image.points, pts),
-        backward_excess=directed_hausdorff_distance(pts, image.points),
-        tolerance=float(tol),
+        forward_excess=forward,
+        backward_excess=backward,
+        symmetric_excess=max(forward, backward),
+        tolerance=tol,
+        subinvariant=forward <= tol,
+        superinvariant=backward <= tol,
+        invariant=forward <= tol and backward <= tol,
     )
 
 
 @dataclass(frozen=True)
-class MonotoneDistanceReport:
+class MonotoneDistanceReport(Report):
     """Stepwise audit of ``d(x_n, C)`` for a subinvariant reference ``C``."""
 
-    distances: np.ndarray
+    distances: np.ndarray = field(metadata=OMIT)
     slack: float
     monotone: bool
     max_step_increase: float
-    bounded: bool  # d(x_n, C) <= d(x_0, C) + 1e-9 for all n
+    bounded: bool  # d(x_n, C) <= d(x_0, C) + slack for all n
     limit_value: float  # inf_n d(x_n, C)
-    hypothesis_excess: float = None  # subinvariance excess of C, when assessed
-    hypothesis_met: bool = None
-
-    @property
-    def passed(self):
-        ok = self.monotone and self.bounded
-        if self.hypothesis_met is not None:
-            ok = ok and self.hypothesis_met
-        return ok
-
-    def to_dict(self):
-        return {
-            "slack": self.slack,
-            "monotone": self.monotone,
-            "max_step_increase": self.max_step_increase,
-            "bounded": self.bounded,
-            "limit_value": self.limit_value,
-            "initial_distance": float(self.distances[0]),
-            "final_distance": float(self.distances[-1]),
-            "hypothesis_excess": self.hypothesis_excess,
-            "hypothesis_met": self.hypothesis_met,
-            "passed": self.passed,
-        }
+    initial_distance: float
+    final_distance: float
+    hypothesis_excess: float  # subinvariance excess of C; None without a system
+    hypothesis_met: bool  # None without a system
+    passed: bool
 
 
 def check_monotone_distance(orbit, reference, system=None, base_slack=1e-9):
@@ -241,14 +236,16 @@ def check_monotone_distance(orbit, reference, system=None, base_slack=1e-9):
 
     ``reference`` is a :class:`PointCloud` (or raw points) or a
     :class:`SegmentSet`. The verdict uses slack ``base_slack * (1 + d(x_0, C))``
-    per step. When ``system`` is given, the subinvariance hypothesis on ``C``
-    is assessed alongside and a violated hypothesis marks the report
-    hypothesis-unmet instead of asserting monotonicity. Its excess is
-    ``sup d(y, C)`` over the images ``y = f_i(p)`` of the cloud's points, or
-    of a SegmentSet sampled at ``SAMPLE_SPACING``, measured against ``C``
-    itself: a subinvariant continuum scores ~0. Distances are taken once per
-    distinct orbit point.
+    per step and for the bound ``d(x_n, C) <= d(x_0, C)``; ``base_slack``
+    must be finite and at least 0. When ``system`` is given, the
+    subinvariance hypothesis on ``C`` is assessed alongside and a violated
+    hypothesis marks the report hypothesis-unmet instead of asserting
+    monotonicity. Its excess is ``sup d(y, C)`` over the images ``y =
+    f_i(p)`` of the cloud's points, or of a SegmentSet sampled at
+    ``SAMPLE_SPACING``, measured against ``C`` itself: a subinvariant
+    continuum scores ~0. Distances are taken once per distinct orbit point.
     """
+    base_slack = _check_tolerance(base_slack, "base_slack")
     ref = reference if isinstance(reference, (PointCloud, SegmentSet)) \
         else PointCloud(points_of(reference, what="reference"))
     if ref.dim != orbit.dim:
@@ -256,17 +253,19 @@ def check_monotone_distance(orbit, reference, system=None, base_slack=1e-9):
     first, inverse = distinct_rows(orbit.points)
     dists = ref.distance_to(orbit.points[first])[inverse]
     d0 = float(dists[0])
-    slack = float(base_slack) * (1.0 + d0)
+    slack = base_slack * (1.0 + d0)
     steps = np.diff(dists)
     max_inc = float(steps.max()) if len(steps) else 0.0
     monotone = max_inc <= slack
-    bounded = bool(np.all(dists <= d0 + 1e-9))
+    bounded = bool(np.all(dists <= d0 + slack))
     hypothesis_excess = None
     hypothesis_met = None
+    passed = monotone and bounded
     if system is not None:
         base = ref.sample_points(SAMPLE_SPACING) if isinstance(ref, SegmentSet) else ref.points
         hypothesis_excess = max(float(ref.distance_to(m.apply(base)).max()) for m in system.maps)
         hypothesis_met = hypothesis_excess <= slack
+        passed = passed and hypothesis_met
     return MonotoneDistanceReport(
         distances=dists,
         slack=slack,
@@ -274,45 +273,35 @@ def check_monotone_distance(orbit, reference, system=None, base_slack=1e-9):
         max_step_increase=max_inc,
         bounded=bounded,
         limit_value=float(dists.min()),
+        initial_distance=d0,
+        final_distance=float(dists[-1]),
         hypothesis_excess=hypothesis_excess,
         hypothesis_met=hypothesis_met,
+        passed=passed,
     )
 
 
 @dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(Report):
     """Containment test: a subinvariant set intersecting the omega estimate
     must contain it."""
 
-    candidate_invariance: InvarianceReport
     hypothesis_met: bool
+    candidate_invariance: InvarianceReport
     min_distance: float
     intersects: bool
     containment_excess: float
     contains_omega: bool
     note: str
-
-    @property
-    def passed(self):
-        return self.hypothesis_met and (self.contains_omega or not self.intersects)
-
-    def to_dict(self):
-        return {
-            "hypothesis_met": self.hypothesis_met,
-            "candidate_invariance": self.candidate_invariance.to_dict(),
-            "min_distance": self.min_distance,
-            "intersects": self.intersects,
-            "containment_excess": self.containment_excess,
-            "contains_omega": self.contains_omega,
-            "note": self.note,
-            "passed": self.passed,
-        }
+    passed: bool
 
 
 def check_minimality(system, omega_estimate, candidate, tol):
     """If the candidate cloud is subinvariant and touches the omega estimate,
-    every omega representative must lie within ``tol`` of the candidate."""
-    cand = points_of(candidate, omega_estimate.dim, "candidate")
+    every omega representative must lie within ``tol`` of the candidate;
+    ``tol`` must be finite and at least 0."""
+    tol = _check_tolerance(tol, "tol")
+    cand = points_of(candidate, omega_estimate.representatives.dim, "candidate")
     reps = omega_estimate.representatives.points
     inv = check_invariance(system, cand, tol)
     hypothesis_met = inv.subinvariant
@@ -327,32 +316,30 @@ def check_minimality(system, omega_estimate, candidate, tol):
     else:
         note = "candidate intersects the omega estimate"
     return MinimalityReport(
-        candidate_invariance=inv,
         hypothesis_met=hypothesis_met,
+        candidate_invariance=inv,
         min_distance=min_distance,
         intersects=intersects,
         containment_excess=containment_excess,
         contains_omega=contains,
         note=note,
+        passed=hypothesis_met and (contains or not intersects),
     )
 
 
 @dataclass(frozen=True)
-class OmegaComparison:
+class OmegaComparison(Report):
     distance: float
     tolerance: float
-
-    @property
-    def passed(self):
-        return self.distance <= self.tolerance
-
-    def to_dict(self):
-        return {"distance": self.distance, "tolerance": self.tolerance, "passed": self.passed}
+    passed: bool
 
 
 def compare_omegas(estimate_a, estimate_b, tol):
-    """Symmetric Hausdorff distance between two omega estimates."""
-    if estimate_a.dim != estimate_b.dim:
-        raise DimensionMismatchError(estimate_a.dim, estimate_b.dim, "omega estimate")
-    dist = hausdorff(estimate_a.representatives, estimate_b.representatives)
-    return OmegaComparison(distance=dist, tolerance=float(tol))
+    """Symmetric Hausdorff distance between two omega estimates; ``tol`` must
+    be finite and at least 0."""
+    tol = _check_tolerance(tol, "tol")
+    a, b = estimate_a.representatives, estimate_b.representatives
+    if a.dim != b.dim:
+        raise DimensionMismatchError(a.dim, b.dim, "omega estimate")
+    dist = hausdorff(a, b)
+    return OmegaComparison(distance=dist, tolerance=tol, passed=dist <= tol)

@@ -25,6 +25,16 @@ SQUARE_CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 CHECK_KINDS = ("invariance", "superinvariance", "monotone_distance",
                "compare_omegas", "matches_reference")
 
+# The keys each config object may hold: every key some kind of it reads.
+CONFIG_KEYS = ("name", "dim", "maps", "driver", "x0", "steps", "burn_in", "cluster_eps",
+               "reference_set", "checks")
+MAP_KEYS = ("kind", "normal", "offset", "constraints", "anchor", "basis", "directions",
+            "center", "radius", "lower", "upper", "matrix", "shift")
+CONSTRAINT_KEYS = ("normals", "offsets")
+DRIVER_KEYS = ("kind", "permutation", "seed", "weights", "alphabet", "symbols")
+REFERENCE_KEYS = ("kind", "points", "vertices", "spacing")
+CHECK_KEYS = ("kind", "tol", "slack", "driver")
+
 
 class ScenarioError(IfsLabError, ValueError):
     """A scenario config value or a command-line input failed validation."""
@@ -50,8 +60,11 @@ def _at(where):
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _object(value, where):
+def _object(value, where, keys):
+    """``value``, if it is a dict whose keys are all among ``keys``."""
     _require(isinstance(value, dict), where, f"expected a JSON object, got {type(value).__name__}")
+    for key in value:
+        _require(key in keys, where, f"unknown key {key!r}")
     return value
 
 
@@ -88,7 +101,7 @@ def _numbers(d, key, where, default=None):
 
 def map_from_dict(d, dim, where):
     with _at(where):
-        kind = _object(d, where)["kind"]
+        kind = _object(d, where, MAP_KEYS)["kind"]
 
         def num(key, default=None):
             return _numbers(d, key, where, default)
@@ -97,7 +110,7 @@ def map_from_dict(d, dim, where):
             return geometry.Hyperplane(num("normal"), num("offset"))
         if kind == "affine_subspace":
             if "constraints" in d:
-                c = d["constraints"]
+                c = _object(d["constraints"], f"{where}.constraints", CONSTRAINT_KEYS)
                 return geometry.AffineSubspace.from_constraints(
                     _numbers(c, "normals", f"{where}.constraints"),
                     _numbers(c, "offsets", f"{where}.constraints"))
@@ -119,7 +132,7 @@ def driver_from_dict(d, n_maps, where):
     """Build a driver spec over ``n_maps`` symbols. With ``n_maps`` None,
     drivers that need an alphabet size and are not given one fail."""
     with _at(where):
-        kind = _object(d, where)["kind"]
+        kind = _object(d, where, DRIVER_KEYS)["kind"]
 
         def size(n, needs):
             _require(n is not None, where, f"{kind} driver needs {needs}")
@@ -145,7 +158,7 @@ def driver_from_dict(d, n_maps, where):
 def reference_from_dict(d, where):
     """Build ``(cloud, exact_or_none)`` from a reference description."""
     with _at(where):
-        kind = _object(d, where)["kind"]
+        kind = _object(d, where, REFERENCE_KEYS)["kind"]
         if kind == "points":
             return PointCloud(_numbers(d, "points", where)), None
         if kind == "square_corners":
@@ -177,7 +190,7 @@ class Scenario:
 def scenario_from_dict(config):
     """Validate a config dict and build the runnable scenario."""
     with _at("config"):
-        name = _object(config, "config").get("name", "scenario")
+        name = _object(config, "config", CONFIG_KEYS).get("name", "scenario")
         _require(isinstance(name, str) and name not in ("", ".", "..")
                  and not any(c in name for c in "/\\\0"), "config.name",
                  f"need a nonempty file stem without a path separator, got {name!r}")
@@ -219,7 +232,7 @@ def scenario_from_dict(config):
     for i, c in enumerate(raw_checks):
         where = f"config.checks[{i}]"
         with _at(where):
-            kind = _object(c, where)["kind"]
+            kind = _object(c, where, CHECK_KEYS)["kind"]
             _require(kind in CHECK_KINDS, where, f"unknown check kind {kind!r}")
             norm = {"kind": kind}
             if kind in ("invariance", "superinvariance", "matches_reference", "compare_omegas"):

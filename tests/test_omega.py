@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from ifslab import (
+    AffineMap,
     Cyclic,
     DimensionMismatchError,
     DisjunctiveEnumeration,
@@ -218,6 +219,31 @@ def test_monotone_distance_exact_triangle_boundary():
     assert report.hypothesis_excess <= 1e-12
 
 
+def rotation_system(angle):
+    c, s = np.cos(angle), np.sin(angle)
+    return IFSystem((AffineMap([[c, -s], [s, c]], [0.0, 0.0]),), 2)
+
+
+def test_monotone_distance_bound_scales_with_the_start_distance():
+    # a rotation about the reference point keeps d(x_n, C) = 1e8 up to
+    # rounding, which drifts by about 6e-6 over the orbit: within the slack
+    # 1e-9 * (1 + 1e8), far above an absolute 1e-9
+    sysr = rotation_system(0.7)
+    orbit = run_orbit(sysr, [1e8, 0.0], Cyclic((1,)), 2000)
+    report = check_monotone_distance(orbit, [[0.0, 0.0]], system=sysr)
+    assert report.distances.max() - report.distances[0] > 1e-6
+    assert report.monotone and report.bounded and report.passed
+
+
+def test_monotone_distance_rotation_off_centre_fails():
+    # negative control: the orbit starts on the reference point, away from
+    # the rotation's centre, so its distance to the point grows from 0
+    sysr = rotation_system(0.7)
+    orbit = run_orbit(sysr, [1e8, 0.0], Cyclic((1,)), 2000)
+    report = check_monotone_distance(orbit, [[1e8, 0.0]], system=sysr)
+    assert not report.monotone and not report.bounded and not report.passed
+
+
 def test_segment_set_distances_are_exact():
     seg = triangle_boundary_segments()
     d = seg.distance_to([[0.5, -1.0], [0.5, 0.1], [2.0, 0.0]])
@@ -307,6 +333,28 @@ def test_compare_omegas_same_square_different_drivers():
     est_b = estimate_omega(
         run_orbit(sys4, [0.3, 0.7], IidRandom.uniform(13, 4), 10_000), 1000, 1e-6)
     assert compare_omegas(est_a, est_b, 1e-9).passed
+
+
+def _parallel_lines_estimate():
+    return estimate_omega(run_orbit(parallel_lines_system(), [0, 0.3], Cyclic((1, 2)), 100),
+                          10, 1e-6)
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1e-9, float("inf")])
+@pytest.mark.parametrize("check, name", [
+    (lambda v: check_invariance(square_system(), SQUARE_CORNERS, v), "tol"),
+    (lambda v: check_minimality(parallel_lines_system(), _parallel_lines_estimate(),
+                                PointCloud.of([0.0, 0.0]), v), "tol"),
+    (lambda v: compare_omegas(_parallel_lines_estimate(), _parallel_lines_estimate(), v),
+     "tol"),
+    (lambda v: check_monotone_distance(
+        run_orbit(square_system(), [0.3, 0.7], DisjunctiveEnumeration(4), 50),
+        SQUARE_CORNERS, base_slack=v), "base_slack"),
+], ids=["invariance", "minimality", "compare_omegas", "monotone_distance"])
+def test_check_tolerances_must_be_finite_and_nonnegative(check, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite and at least 0"):
+        check(value)
+    check(0.0)
 
 
 def test_orbit_stays_bounded_near_subinvariant_reference():

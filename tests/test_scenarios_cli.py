@@ -103,6 +103,12 @@ def test_scenario_failing_check():
     ({"name": "../escaped"}, "config.name: need a nonempty file stem"),
     ({"name": "a/b"}, "config.name: need a nonempty file stem"),
     ({"name": "a\\b"}, "config.name: need a nonempty file stem"),
+    # a key that no kind of its object reads
+    ({"burnin": 5}, "config: unknown key 'burnin'"),
+    ({"maps": [{"kind": "hyperplane", "normal": [0, 1], "offset": 0.0, "normals": [[0, 1]]}]},
+     "config.maps[0]: unknown key 'normals'"),
+    ({"checks": [{"kind": "invariance", "tol": 1e-9, "tolerance": 1e-3}]},
+     "config.checks[0]: unknown key 'tolerance'"),
 ])
 def test_scenario_validation_errors(breakage, fragment):
     config = minimal_config(**breakage)
