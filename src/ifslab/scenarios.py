@@ -22,18 +22,38 @@ DEFAULT_CLUSTER_EPS = 1e-6
 TRIANGLE_VERTICES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 SQUARE_CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
-CHECK_KINDS = ("invariance", "superinvariance", "monotone_distance",
-               "compare_omegas", "matches_reference")
-
-# The keys each config object may hold: every key some kind of it reads.
+# The keys each config object may hold besides its ``kind``: for an object
+# with kinds, the keys that kind reads. Every driver kind takes an
+# ``alphabet``; cyclic and iid drivers run over all the maps whatever it says.
 CONFIG_KEYS = ("name", "dim", "maps", "driver", "x0", "steps", "burn_in", "cluster_eps",
                "reference_set", "checks")
-MAP_KEYS = ("kind", "normal", "offset", "constraints", "anchor", "basis", "directions",
-            "center", "radius", "lower", "upper", "matrix", "shift")
+MAP_KEYS = {
+    "hyperplane": ("normal", "offset"),
+    "affine_subspace": ("constraints", "anchor", "basis", "directions"),
+    "halfspace": ("normal", "offset"),
+    "ball": ("center", "radius"),
+    "box": ("lower", "upper"),
+    "affine": ("matrix", "shift"),
+}
 CONSTRAINT_KEYS = ("normals", "offsets")
-DRIVER_KEYS = ("kind", "permutation", "seed", "weights", "alphabet", "symbols")
-REFERENCE_KEYS = ("kind", "points", "vertices", "spacing")
-CHECK_KEYS = ("kind", "tol", "slack", "driver")
+DRIVER_KEYS = {
+    "cyclic": ("permutation", "alphabet"),
+    "iid": ("seed", "weights", "alphabet"),
+    "disjunctive": ("alphabet",),
+    "custom": ("symbols", "alphabet"),
+}
+REFERENCE_KEYS = {
+    "points": ("points",),
+    "square_corners": (),
+    "triangle_boundary": ("vertices", "spacing"),
+}
+CHECK_KEYS = {
+    "invariance": ("tol",),
+    "superinvariance": ("tol",),
+    "monotone_distance": ("slack",),
+    "compare_omegas": ("tol", "driver"),
+    "matches_reference": ("tol",),
+}
 
 
 class ScenarioError(IfsLabError, ValueError):
@@ -66,6 +86,17 @@ def _object(value, where, keys):
     for key in value:
         _require(key in keys, where, f"unknown key {key!r}")
     return value
+
+
+def _kind(value, where, what, keys_by_kind):
+    """The ``kind`` of a JSON object ``value``, if ``keys_by_kind`` has it and
+    ``value`` holds no key besides ``kind`` that this kind does not read."""
+    _require(isinstance(value, dict), where, f"expected a JSON object, got {type(value).__name__}")
+    kind = value["kind"]
+    _require(isinstance(kind, str) and kind in keys_by_kind, where,
+             f"unknown {what} kind {kind!r}")
+    _object(value, where, ("kind",) + keys_by_kind[kind])
+    return kind
 
 
 def _number(d, key, where, default=None, integer=False, low=0):
@@ -101,7 +132,7 @@ def _numbers(d, key, where, default=None):
 
 def map_from_dict(d, dim, where):
     with _at(where):
-        kind = _object(d, where, MAP_KEYS)["kind"]
+        kind = _kind(d, where, "map", MAP_KEYS)
 
         def num(key, default=None):
             return _numbers(d, key, where, default)
@@ -125,14 +156,13 @@ def map_from_dict(d, dim, where):
             return geometry.Box(num("lower"), num("upper"))
         if kind == "affine":
             return ifs.AffineMap(np.asarray(num("matrix"), dtype=float), num("shift"))
-    raise ScenarioError(f"{where}: unknown map kind {kind!r}")
 
 
 def driver_from_dict(d, n_maps, where):
     """Build a driver spec over ``n_maps`` symbols. With ``n_maps`` None,
     drivers that need an alphabet size and are not given one fail."""
     with _at(where):
-        kind = _object(d, where, DRIVER_KEYS)["kind"]
+        kind = _kind(d, where, "driver", DRIVER_KEYS)
 
         def size(n, needs):
             _require(n is not None, where, f"{kind} driver needs {needs}")
@@ -152,13 +182,12 @@ def driver_from_dict(d, n_maps, where):
                                                        "an alphabet size"))
         if kind == "custom":
             return drivers.Custom(_numbers(d, "symbols", where), d.get("alphabet", n_maps))
-    raise ScenarioError(f"{where}: unknown driver kind {kind!r}")
 
 
 def reference_from_dict(d, where):
     """Build ``(cloud, exact_or_none)`` from a reference description."""
     with _at(where):
-        kind = _object(d, where, REFERENCE_KEYS)["kind"]
+        kind = _kind(d, where, "reference", REFERENCE_KEYS)
         if kind == "points":
             return PointCloud(_numbers(d, "points", where)), None
         if kind == "square_corners":
@@ -170,7 +199,6 @@ def reference_from_dict(d, where):
             _require(spacing > 0, where, "spacing must be positive")
             segments = omega.SegmentSet(vertices, np.roll(vertices, -1, axis=0))
             return PointCloud(segments.sample_points(spacing)), segments
-    raise ScenarioError(f"{where}: unknown reference kind {kind!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +260,7 @@ def scenario_from_dict(config):
     for i, c in enumerate(raw_checks):
         where = f"config.checks[{i}]"
         with _at(where):
-            kind = _object(c, where, CHECK_KEYS)["kind"]
-            _require(kind in CHECK_KINDS, where, f"unknown check kind {kind!r}")
+            kind = _kind(c, where, "check", CHECK_KEYS)
             norm = {"kind": kind}
             if kind in ("invariance", "superinvariance", "matches_reference", "compare_omegas"):
                 norm["tol"] = _number(c, "tol", where)

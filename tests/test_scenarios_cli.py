@@ -40,6 +40,16 @@ def minimal_config(**overrides):
     return config
 
 
+def _mistype(config, path, value):
+    """``config`` with the value at ``path`` (keys and list indices) replaced."""
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return config
+
+
 def test_scenario_parses_and_runs():
     result = run_scenario(scenario_from_dict(minimal_config()))
     assert result.estimate.representatives.size == 2
@@ -109,6 +119,19 @@ def test_scenario_failing_check():
      "config.maps[0]: unknown key 'normals'"),
     ({"checks": [{"kind": "invariance", "tol": 1e-9, "tolerance": 1e-3}]},
      "config.checks[0]: unknown key 'tolerance'"),
+    # a key that only another kind of its object reads
+    (_mistype(preset_config("example2_parallel"), ("checks", 2, "tol"), 1e-3),
+     "config.checks[2]: unknown key 'tol'"),
+    (_mistype(preset_config("example2_parallel"), ("maps", 0, "radius"), 5),
+     "config.maps[0]: unknown key 'radius'"),
+    (_mistype(preset_config("example2_parallel"), ("checks", 1, "slack"), 1.0),
+     "config.checks[1]: unknown key 'slack'"),
+    (_mistype(preset_config("example2_parallel"), ("checks", 1, "driver"), {"kind": "bogus"}),
+     "config.checks[1]: unknown key 'driver'"),
+    (_mistype(preset_config("example2_parallel"), ("driver", "weights"), [0.5, 0.5]),
+     "config.driver: unknown key 'weights'"),
+    (_mistype(preset_config("example2_parallel"), ("reference_set", "spacing"), 5e-3),
+     "config.reference_set: unknown key 'spacing'"),
 ])
 def test_scenario_validation_errors(breakage, fragment):
     config = minimal_config(**breakage)
@@ -170,16 +193,6 @@ def test_config_arrays_hold_only_numbers(tmp_path, capsys, breakage, prefix):
     err = capsys.readouterr().err
     assert err.startswith("error: " + prefix) and "Traceback" not in err
     assert not (tmp_path / "out").exists()
-
-
-def _mistype(config, path, value):
-    """``config`` with the value at ``path`` (keys and list indices) replaced."""
-    config = json.loads(json.dumps(config))
-    parent = config
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
-    return config
 
 
 def _leaves(value, path=()):
@@ -444,6 +457,17 @@ def test_cli_driver_gen_missing_option_exits_two(options, capsys):
     assert main(["driver", "gen", *options, "--n", "5"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("options, key", [
+    (["--kind", "cyclic", "--seed", "5"], "seed"),
+    (["--kind", "iid", "--seed", "5", "--perm", "2,1"], "permutation"),
+    (["--kind", "disjunctive", "--weights", "0.5,0.5"], "weights"),
+])
+def test_cli_driver_option_its_kind_does_not_read_exits_two(options, key, capsys):
+    assert main(["driver", "gen", *options, "--alphabet", "2", "--n", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: driver: unknown key {key!r}\n"
 
 
 def test_config_alphabet_leaves_cyclic_and_iid_on_all_maps():
