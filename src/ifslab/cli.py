@@ -69,8 +69,16 @@ def _listed(text, parse, option):
         return [parse(s) for s in text.split(",")] if text else None
 
 
+# Each driver option and the driver config key it sets.
+DRIVER_OPTIONS = (("--seed", "seed"), ("--perm", "permutation"),
+                  ("--weights", "weights"), ("--symbols", "symbols"))
+
+
 def _driver_from_args(args, n_symbols):
     """The driver the options name, built by the same code as config drivers."""
+    for option, key in DRIVER_OPTIONS:
+        if getattr(args, option[2:]) is not None and key not in scenarios.DRIVER_KEYS[args.kind]:
+            raise scenarios.ScenarioError(f"{option}: the {args.kind} driver does not read it")
     d = {"kind": args.kind, "seed": args.seed,
          "permutation": _listed(args.perm, int, "--perm"),
          "weights": _listed(args.weights, float, "--weights"),

@@ -459,15 +459,27 @@ def test_cli_driver_gen_missing_option_exits_two(options, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("options, key", [
-    (["--kind", "cyclic", "--seed", "5"], "seed"),
-    (["--kind", "iid", "--seed", "5", "--perm", "2,1"], "permutation"),
-    (["--kind", "disjunctive", "--weights", "0.5,0.5"], "weights"),
+@pytest.mark.parametrize("options, error", [
+    (["--kind", "cyclic", "--seed", "5"], "--seed: the cyclic driver does not read it"),
+    (["--kind", "iid", "--seed", "5", "--perm", "2,1"],
+     "--perm: the iid driver does not read it"),
+    (["--kind", "disjunctive", "--weights", "0.5,0.5"],
+     "--weights: the disjunctive driver does not read it"),
+    (["--kind", "cyclic", "--symbols", "x"], "--symbols: the cyclic driver does not read it"),
 ])
-def test_cli_driver_option_its_kind_does_not_read_exits_two(options, key, capsys):
+def test_cli_driver_option_its_kind_does_not_read_exits_two(options, error, capsys):
     assert main(["driver", "gen", *options, "--alphabet", "2", "--n", "5"]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: driver: unknown key {key!r}\n"
+    assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
+def test_cli_kaczmarz_default_driver_names_the_option_it_does_not_read(tmp_path, capsys):
+    sys_csv = tmp_path / "sys.csv"
+    sys_csv.write_text("1,0,1\n0,1,2\n")
+    assert main(["kaczmarz", str(sys_csv), "--seed", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --seed: the cyclic driver does not read it\n"
 
 
 def test_config_alphabet_leaves_cyclic_and_iid_on_all_maps():
