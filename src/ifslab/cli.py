@@ -34,16 +34,16 @@ def _cmd_run(args):
     stem = scenario.name
     fileio.write_orbit_csv(out_dir / f"{stem}.orbit.csv", result.orbit)
     fileio.write_json(out_dir / f"{stem}.omega.json", result.estimate.to_dict())
-    fileio.write_json(out_dir / f"{stem}.report.json", result.report_dict())
+    fileio.write_json(out_dir / f"{stem}.report.json", result.to_dict())
     if scenario.system.dim == 2 and not args.no_svg:
         fileio.render_svg_scatter(out_dir / f"{stem}.svg",
                                   result.orbit.tail(scenario.burn_in),
                                   result.estimate.representatives.points)
 
-    for outcome in result.checks:
-        status = "pass" if outcome.passed else "FAIL"
-        print(f"{stem}: check {outcome.kind}: {status}")
-    print(f"{stem}: representatives={result.estimate.representatives.size} "
+    for check in result.checks:
+        status = "pass" if check["passed"] else "FAIL"
+        print(f"{stem}: check {check['kind']}: {status}")
+    print(f"{stem}: representatives={result.representative_count} "
           f"files written to {out_dir}")
     return EXIT_OK if result.passed else EXIT_CHECK_FAILED
 
@@ -70,8 +70,9 @@ def _listed(text, parse, option):
 
 
 # Each driver option and the driver config key it sets.
-DRIVER_OPTIONS = (("--seed", "seed"), ("--perm", "permutation"),
-                  ("--weights", "weights"), ("--symbols", "symbols"))
+DRIVER_OPTIONS = (("--alphabet", "alphabet"), ("--seed", "seed"),
+                  ("--perm", "permutation"), ("--weights", "weights"),
+                  ("--symbols", "symbols"))
 
 
 def _driver_from_args(args, n_symbols):
@@ -79,12 +80,12 @@ def _driver_from_args(args, n_symbols):
     for option, key in DRIVER_OPTIONS:
         if getattr(args, option[2:]) is not None and key not in scenarios.DRIVER_KEYS[args.kind]:
             raise scenarios.ScenarioError(f"{option}: the {args.kind} driver does not read it")
-    d = {"kind": args.kind, "seed": args.seed,
+    d = {"kind": args.kind, "alphabet": args.alphabet, "seed": args.seed,
          "permutation": _listed(args.perm, int, "--perm"),
          "weights": _listed(args.weights, float, "--weights"),
          "symbols": _listed(args.symbols, int, "--symbols")}
     return scenarios.driver_from_dict({k: v for k, v in d.items() if v is not None},
-                                      args.alphabet or n_symbols, "driver")
+                                      n_symbols, "driver")
 
 
 def _cmd_driver_gen(args):
@@ -198,7 +199,7 @@ def build_parser():
 
     p_gen = driver_sub.add_parser("gen", help="emit driver symbols", parents=[driver_opts])
     p_gen.add_argument("--kind", required=True,
-                       choices=["cyclic", "iid", "disjunctive", "custom"])
+                       choices=list(scenarios.DRIVER_KEYS))
     p_gen.add_argument("--n", type=int, required=True, help="number of symbols")
     p_gen.add_argument("--out", help="also write one symbol per line to this file")
     p_gen.set_defaults(func=_cmd_driver_gen)
@@ -214,7 +215,7 @@ def build_parser():
                             parents=[driver_opts])
     p_kacz.add_argument("system", help="system CSV: a1,...,ad,b per row")
     p_kacz.add_argument("--driver", dest="kind", default="cyclic",
-                        choices=["cyclic", "iid", "disjunctive", "custom"])
+                        choices=list(scenarios.DRIVER_KEYS))
     p_kacz.add_argument("--tol", type=float, default=1e-10)
     p_kacz.add_argument("--max-iter", type=int, default=100_000)
     p_kacz.add_argument("--x0", help="comma-separated start point (default: origin)")

@@ -12,7 +12,7 @@ a process that does pays the import once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -191,6 +191,42 @@ class PointCloud:
     def distance_to(self, x):
         """Distance from each query point to this cloud (min over members)."""
         return nearest_distances(points_of(np.atleast_2d(x), self.dim, "query points"), self.points)
+
+
+class Report:
+    """Base of every report the lab writes as JSON (the omega estimate, the
+    check, solve and audit reports and the run report), which are frozen
+    dataclasses whose verdicts are fields computed by the function that
+    makes the report.
+
+    :meth:`to_dict` is the fields in declaration order, ready for JSON: an
+    array, a tuple or a :class:`PointCloud` becomes nested lists and a nested
+    report its own dict. A field's ``json`` metadata overrides this: a
+    function to apply to the value (``drivers.DRIVER``), or ``None`` to leave
+    the field out (:data:`OMIT`).
+    """
+
+    def to_dict(self):
+        out = {}
+        for f in fields(self):
+            write = f.metadata.get("json", _json_value)
+            if write is not None:
+                out[f.name] = write(getattr(self, f.name))
+        return out
+
+
+def _json_value(value):
+    if isinstance(value, Report):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, PointCloud):
+        value = value.points
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+# Field metadata of Report: a field left out of to_dict.
+OMIT = {"json": None}
 
 
 def distinct_rows(points):

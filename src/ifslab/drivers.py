@@ -10,14 +10,14 @@ uniform double by inverse-CDF lookup on the cumulative weights, so a
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 import reprlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .clouds import Report
 from .errors import DriverExhaustedError, SymbolRangeError
 
 
@@ -214,19 +214,6 @@ class _CustomStream(SymbolStream):
         return out
 
 
-class _IterableStream(SymbolStream):
-    """A stream over any other integer iterable, read one element at a time."""
-
-    def __init__(self, symbols):
-        super().__init__(symbols)
-        self._iter = iter(symbols)
-
-    def take_upto(self, n):
-        out = np.fromiter(itertools.islice(self._iter, n), dtype=np.int64)
-        self.position += len(out)
-        return out
-
-
 def check_symbols(symbols, n_symbols):
     """The int64 array ``symbols``, checked to lie in ``1..n_symbols``; raises
     :class:`SymbolRangeError` for the first symbol outside."""
@@ -242,9 +229,9 @@ def symbol_blocks(driver, n, n_symbols, size=None):
     ``1..n_symbols``.
 
     The driver is a spec (read from a fresh stream), a :class:`SymbolStream`
-    (read from where it stands), a list, tuple or numpy array (read by
-    slicing), or any other finite or infinite integer iterable. Nothing is
-    read before the first block. A driver that ends early raises
+    (read from where it stands), or a list, tuple or numpy array (read by
+    slicing); anything else raises ``TypeError``. Nothing is read before the
+    first block. A driver that ends early raises
     :class:`DriverExhaustedError` after its last, short block.
     """
     if isinstance(driver, DriverSpec):
@@ -254,7 +241,8 @@ def symbol_blocks(driver, n, n_symbols, size=None):
     elif isinstance(driver, (list, tuple, np.ndarray)):
         stream = _CustomStream(driver)
     else:
-        stream = _IterableStream(driver)
+        raise TypeError(f"a driver is a spec, a stream, or a list, tuple or numpy array "
+                        f"of symbols, not {type(driver).__name__}")
     size = size or max(n, 1)
     for start in range(0, n, size):
         want = min(size, n - start)
@@ -273,7 +261,7 @@ def generate(spec, n):
 
 
 @dataclass(frozen=True)
-class DisjunctivityReport:
+class DisjunctivityReport(Report):
     """Which words of a fixed length occur as contiguous windows of a prefix."""
 
     window_length: int
@@ -283,31 +271,18 @@ class DisjunctivityReport:
     missing_count: int
     missing: tuple  # first 20 missing words, lexicographic
     prefix_length: int
-    warning: str = None
-
-    @property
-    def complete(self):
-        return self.missing_count == 0
-
-    def to_dict(self):
-        return {**asdict(self), "missing": [list(w) for w in self.missing],
-                "complete": self.complete}
+    warning: str
+    complete: bool
 
 
 @dataclass(frozen=True)
-class RepetitionReport:
+class RepetitionReport(Report):
     """Occurrence counts per symbol over a prefix; absent symbols are flagged."""
 
-    counts: tuple
+    # written as {"1": the count of symbol 1, ...}
+    counts: tuple = field(metadata={"json": lambda c: {str(i + 1): n for i, n in enumerate(c)}})
     absent: tuple
     prefix_length: int
-
-    def to_dict(self):
-        return {
-            "counts": {str(i + 1): c for i, c in enumerate(self.counts)},
-            "absent": list(self.absent),
-            "prefix_length": self.prefix_length,
-        }
 
 
 def _infer_alphabet(seq, alphabet_size):
@@ -348,6 +323,7 @@ def check_disjunctive(seq, window_length, alphabet_size=None):
         missing=tuple(map(tuple, (missing[:20, None] // powers % n + 1).tolist())),
         prefix_length=len(seq),
         warning=warning,
+        complete=len(missing) == 0,
     )
 
 
@@ -371,9 +347,8 @@ def describe_driver(driver):
     "n_symbols": ...}`` for a spec, tuples written as lists. A finite sequence
     (list, tuple or numpy array) is recorded as the :class:`Custom` spec of
     its symbols. A sequence that is no valid ``Custom`` (a symbol below 1
-    past the part a run read), any other iterable and a stream are recorded
-    by type name only."""
-    if driver is None or isinstance(driver, str):
+    past the part a run read) and a stream are recorded by type name only."""
+    if driver is None:
         return driver
     if isinstance(driver, (list, tuple, np.ndarray)):
         with contextlib.suppress(SymbolRangeError):
@@ -383,3 +358,7 @@ def describe_driver(driver):
     return {"kind": type(driver).__name__,
             **{k: list(v) if isinstance(v, tuple) else v for k, v in asdict(driver).items()},
             "n_symbols": driver.n_symbols}
+
+
+# Field metadata of Report: a driver written by describe_driver.
+DRIVER = {"json": describe_driver}

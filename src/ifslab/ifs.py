@@ -332,7 +332,7 @@ def _used(pts, syms, k):
 
 def run_orbit(system, x0, driver, n):
     """Iterate the system for ``n`` steps from ``x0`` under the given driver:
-    a spec, a stream, or any integer sequence (see
+    a spec, a stream, or a list, tuple or numpy array of symbols (see
     :func:`drivers.symbol_blocks`), read ``SYMBOL_BLOCK`` symbols at a time.
 
     Deterministic: repeated calls with equal inputs reproduce the points bit

@@ -12,10 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .clouds import OMIT, Report
+from .drivers import DRIVER
 from .errors import GeometryValidationError
 from .geometry import Hyperplane, as_vector
 from .ifs import IFSystem, Orbit, _iterate
-from .omega import DRIVER, OMIT, OmegaEstimate, Report, estimate_omega
+from .omega import OmegaEstimate, estimate_omega
 
 MIN_ROW_NORM = 1e-12
 
@@ -163,10 +165,11 @@ def solve(system, driver, tol, max_iter, x0=None):
     """Project onto row hyperplanes in driver order until the row-normalized
     residual drops to ``tol`` or ``max_iter`` steps have run.
 
-    The driver is a spec, a stream, or any integer sequence; its symbols are
-    drawn in blocks of ``ifs.SYMBOL_BLOCK`` as the run goes. The stop test runs
-    on ``x0`` and then once per ``ifs.STEP_BLOCK`` steps, on all of the block's
-    points (see :meth:`LinearSystem._first_within`); the orbit ends at the
+    The driver is a spec, a stream, or a list, tuple or numpy array of
+    symbols; its symbols are drawn in blocks of ``ifs.SYMBOL_BLOCK`` as the
+    run goes. The stop test runs on ``x0`` and then once per
+    ``ifs.STEP_BLOCK`` steps, on all of the block's points (see
+    :meth:`LinearSystem._first_within`); the orbit ends at the
     first point within ``tol``. So the stop, the orbit and the report are
     those of a test after every step. The orbit buffer grows with the steps
     run, not with ``max_iter``. A run stopped at ``max_iter`` gets an omega

@@ -10,19 +10,21 @@ where a sampled stand-in would inject fluctuations at the sampling scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .clouds import (
+    OMIT,
     QUERY_BLOCK,
     PointCloud,
+    Report,
     distinct_rows,
     greedy_thin,
     nearest_distances,
     points_of,
 )
-from .drivers import describe_driver
+from .drivers import DRIVER
 from .errors import DimensionMismatchError, GeometryValidationError
 from .ifs import hutchinson
 
@@ -77,41 +79,6 @@ class SegmentSet:
             t = np.linspace(0.0, 1.0, n + 1)
             pts.append(a + t[:, None] * (b - a))
         return np.vstack(pts)
-
-
-class Report:
-    """Base of the estimate, check and solve reports, which are frozen
-    dataclasses whose verdicts are fields computed by the function that
-    makes the report.
-
-    :meth:`to_dict` is the fields in declaration order, ready for JSON: an
-    array or a :class:`PointCloud` becomes nested lists of floats and a
-    nested report its own dict. A field's ``json`` metadata overrides this:
-    a function to apply to the value (:data:`DRIVER`), or ``None`` to leave
-    the field out (:data:`OMIT`).
-    """
-
-    def to_dict(self):
-        out = {}
-        for f in fields(self):
-            write = f.metadata.get("json", _json_value)
-            if write is not None:
-                out[f.name] = write(getattr(self, f.name))
-        return out
-
-
-def _json_value(value):
-    if isinstance(value, Report):
-        return value.to_dict()
-    if isinstance(value, PointCloud):
-        value = value.points
-    return value.tolist() if isinstance(value, np.ndarray) else value
-
-
-# Field metadata of Report: a driver written by describe_driver; a field left
-# out of to_dict.
-DRIVER = {"json": describe_driver}
-OMIT = {"json": None}
 
 
 @dataclass(frozen=True, eq=False)

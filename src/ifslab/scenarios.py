@@ -9,13 +9,13 @@ the schema.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isfinite
 
 import numpy as np
 
 from . import drivers, geometry, ifs, omega
-from .clouds import PointCloud
+from .clouds import OMIT, PointCloud, Report
 from .errors import IfsLabError
 
 DEFAULT_CLUSTER_EPS = 1e-6
@@ -24,7 +24,7 @@ SQUARE_CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
 # The keys each config object may hold besides its ``kind``: for an object
 # with kinds, the keys that kind reads. Every driver kind takes an
-# ``alphabet``; cyclic and iid drivers run over all the maps whatever it says.
+# ``alphabet``, its alphabet size where no permutation or weights give one.
 CONFIG_KEYS = ("name", "dim", "maps", "driver", "x0", "steps", "burn_in", "cluster_eps",
                "reference_set", "checks")
 MAP_KEYS = {
@@ -130,7 +130,7 @@ def _numbers(d, key, where, default=None):
     return value
 
 
-def map_from_dict(d, dim, where):
+def map_from_dict(d, where):
     with _at(where):
         kind = _kind(d, where, "map", MAP_KEYS)
 
@@ -159,29 +159,38 @@ def map_from_dict(d, dim, where):
 
 
 def driver_from_dict(d, n_maps, where):
-    """Build a driver spec over ``n_maps`` symbols. With ``n_maps`` None,
-    drivers that need an alphabet size and are not given one fail."""
+    """Build a driver spec. Its alphabet size is ``d["alphabet"]``, else
+    ``n_maps``, unless a permutation or weights give one. With neither,
+    drivers that need an alphabet size fail."""
     with _at(where):
         kind = _kind(d, where, "driver", DRIVER_KEYS)
+        n = _number(d, "alphabet", where, integer=True, low=1) if "alphabet" in d else n_maps
 
-        def size(n, needs):
+        def size(needs):
             _require(n is not None, where, f"{kind} driver needs {needs}")
             return n
 
         if kind == "cyclic":
             if "permutation" in d:
                 return drivers.Cyclic(_numbers(d, "permutation", where))
-            n_perm = size(n_maps, "a permutation or an alphabet size")
-            return drivers.Cyclic(tuple(range(1, n_perm + 1)))
+            return drivers.Cyclic(tuple(range(1, size("a permutation or an alphabet size") + 1)))
         if kind == "iid":
             if "weights" in d:
                 return drivers.IidRandom(d["seed"], _numbers(d, "weights", where))
-            return drivers.IidRandom.uniform(d["seed"], size(n_maps, "weights or an alphabet size"))
+            return drivers.IidRandom.uniform(d["seed"], size("weights or an alphabet size"))
         if kind == "disjunctive":
-            return drivers.DisjunctiveEnumeration(size(d.get("alphabet", n_maps),
-                                                       "an alphabet size"))
+            return drivers.DisjunctiveEnumeration(size("an alphabet size"))
         if kind == "custom":
-            return drivers.Custom(_numbers(d, "symbols", where), d.get("alphabet", n_maps))
+            return drivers.Custom(_numbers(d, "symbols", where), n)
+
+
+def _driver_over(d, n_maps, where):
+    """A config driver whose alphabet, and so every symbol, lies within the
+    ``n_maps`` maps."""
+    driver = driver_from_dict(d, n_maps, where)
+    _require(driver.n_symbols <= n_maps, where,
+             f"driver alphabet {driver.n_symbols} exceeds map count {n_maps}")
+    return driver
 
 
 def reference_from_dict(d, where):
@@ -226,16 +235,11 @@ def scenario_from_dict(config):
 
         raw_maps = config["maps"]
         _require(isinstance(raw_maps, list) and raw_maps, "config.maps", "need at least one map")
-        maps = tuple(map_from_dict(m, dim, f"config.maps[{i}]") for i, m in enumerate(raw_maps))
+        maps = tuple(map_from_dict(m, f"config.maps[{i}]") for i, m in enumerate(raw_maps))
         with _at("config.maps"):
             system = ifs.IFSystem(maps, dim)
 
-        driver = driver_from_dict(config["driver"], system.n_maps, "config.driver")
-        _require(driver.n_symbols <= system.n_maps or isinstance(driver, drivers.Custom),
-                 "config.driver", f"driver alphabet {driver.n_symbols} exceeds map count {system.n_maps}")
-        if isinstance(driver, drivers.Custom):
-            _require(max(driver.symbols, default=1) <= system.n_maps, "config.driver",
-                     "custom symbols exceed the map count")
+        driver = _driver_over(config["driver"], system.n_maps, "config.driver")
 
         x0 = _numbers(config, "x0", "config")
         with _at("config.x0"):
@@ -270,7 +274,7 @@ def scenario_from_dict(config):
                 _require(reference_cloud is not None, where,
                          f"{kind} needs a reference_set in the config")
             if kind == "compare_omegas":
-                norm["driver"] = driver_from_dict(c["driver"], system.n_maps, f"{where}.driver")
+                norm["driver"] = _driver_over(c["driver"], system.n_maps, f"{where}.driver")
         checks.append(norm)
 
     return Scenario(
@@ -280,69 +284,46 @@ def scenario_from_dict(config):
     )
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    kind: str
-    passed: bool
-    details: dict
-
-    def to_dict(self):
-        return {"kind": self.kind, "passed": self.passed, **self.details}
-
-
 @dataclass(frozen=True, eq=False)
-class ScenarioResult:
-    scenario: Scenario
-    orbit: ifs.Orbit
-    estimate: omega.OmegaEstimate
+class ScenarioResult(Report):
+    """A scenario run; its JSON is the run report. Each entry of ``checks``
+    is ``{"kind", "passed", <the fields of the report the check ran>}``."""
+
+    name: str
+    parameters: dict
+    max_norm: float
+    representative_count: int
     checks: tuple
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def report_dict(self):
-        return {
-            "name": self.scenario.name,
-            "parameters": {
-                "steps": self.scenario.steps,
-                "burn_in": self.scenario.burn_in,
-                "cluster_eps": self.scenario.cluster_eps,
-                "x0": [float(c) for c in self.scenario.x0],
-                "driver": drivers.describe_driver(self.scenario.driver),
-            },
-            "max_norm": float(np.linalg.norm(self.orbit.points, axis=1).max()),
-            "representative_count": self.estimate.representatives.size,
-            "checks": [c.to_dict() for c in self.checks],
-            "passed": self.passed,
-        }
+    passed: bool
+    scenario: Scenario = field(metadata=OMIT)
+    orbit: ifs.Orbit = field(metadata=OMIT)
+    estimate: omega.OmegaEstimate = field(metadata=OMIT)
 
 
 def _run_check(scenario, check, orbit_result, estimate):
+    """The run report's entry for one check."""
     kind = check["kind"]
     if kind in ("invariance", "superinvariance"):
         rep = omega.check_invariance(scenario.system, estimate.representatives, check["tol"])
         passed = rep.invariant if kind == "invariance" else rep.superinvariant
-        return CheckOutcome(kind, passed, rep.to_dict())
+        return {"kind": kind, "passed": passed, **rep.to_dict()}
     if kind == "matches_reference":
         dist = omega.hausdorff(estimate.representatives, scenario.reference_cloud)
-        return CheckOutcome(kind, dist <= check["tol"],
-                            {"distance": dist, "tolerance": check["tol"]})
+        return {"kind": kind, "passed": dist <= check["tol"], "distance": dist,
+                "tolerance": check["tol"]}
     if kind == "monotone_distance":
         ref = scenario.reference_exact if scenario.reference_exact is not None \
             else scenario.reference_cloud
         rep = omega.check_monotone_distance(orbit_result, ref, system=scenario.system,
                                             base_slack=check["slack"])
-        return CheckOutcome(kind, rep.passed, rep.to_dict())
+        return {"kind": kind, "passed": rep.passed, **rep.to_dict()}
     if kind == "compare_omegas":
         other = ifs.run_orbit(scenario.system, scenario.x0, check["driver"], scenario.steps)
         other_est = omega.estimate_omega(other, scenario.burn_in, scenario.cluster_eps,
                                          driver=check["driver"])
         rep = omega.compare_omegas(estimate, other_est, check["tol"])
-        details = rep.to_dict()
-        details["other_driver"] = drivers.describe_driver(check["driver"])
-        return CheckOutcome(kind, rep.passed, details)
-    raise ScenarioError(f"unknown check kind {kind!r}")
+        return {"kind": kind, "passed": rep.passed, **rep.to_dict(),
+                "other_driver": drivers.describe_driver(check["driver"])}
 
 
 def run_scenario(scenario):
@@ -350,9 +331,18 @@ def run_scenario(scenario):
     orbit_result = ifs.run_orbit(scenario.system, scenario.x0, scenario.driver, scenario.steps)
     estimate = omega.estimate_omega(orbit_result, scenario.burn_in, scenario.cluster_eps,
                                     driver=scenario.driver)
-    outcomes = tuple(_run_check(scenario, c, orbit_result, estimate) for c in scenario.checks)
-    return ScenarioResult(scenario=scenario, orbit=orbit_result,
-                          estimate=estimate, checks=outcomes)
+    checks = tuple(_run_check(scenario, c, orbit_result, estimate) for c in scenario.checks)
+    return ScenarioResult(
+        name=scenario.name,
+        parameters={"steps": scenario.steps, "burn_in": scenario.burn_in,
+                    "cluster_eps": scenario.cluster_eps, "x0": scenario.x0.tolist(),
+                    "driver": drivers.describe_driver(scenario.driver)},
+        max_norm=float(np.linalg.norm(orbit_result.points, axis=1).max()),
+        representative_count=estimate.representatives.size,
+        checks=checks,
+        passed=all(c["passed"] for c in checks),
+        scenario=scenario, orbit=orbit_result, estimate=estimate,
+    )
 
 
 def preset_config(name):

@@ -220,6 +220,17 @@ def test_iid_prefixes_are_disjunctive_at_m3():
             assert check_disjunctive(seq, 3, alphabet_size=n).complete
 
 
+@pytest.mark.parametrize("call", [
+    lambda driver: list(symbol_blocks(driver, 4, 2)),
+    lambda driver: run_orbit(IFSystem((Hyperplane([0, 1], 0.0), Hyperplane([0, 1], 1.0)), 2),
+                             [0.0, 0.3], driver, 4),
+    lambda driver: solve(LinearSystem([[0, 1], [0, 1]], [0, 1]), driver, tol=1e-9, max_iter=4),
+], ids=["symbol_blocks", "run_orbit", "solve"])
+def test_a_generator_is_no_driver(call):
+    with pytest.raises(TypeError, match="a spec, a stream, or a list, tuple or numpy array"):
+        call(s for s in [1, 2, 1, 2])
+
+
 def test_symbols_validated_against_alphabet():
     with pytest.raises(SymbolRangeError):
         check_disjunctive([1, 4], 1, alphabet_size=3)

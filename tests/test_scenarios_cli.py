@@ -12,6 +12,7 @@ from ifslab import fileio
 from ifslab.cli import main
 from ifslab.drivers import Cyclic, IidRandom
 from ifslab.errors import EmptyCloudError, GeometryValidationError
+from ifslab.geometry import AffineSubspace, Halfspace
 from ifslab.scenarios import (
     PRESET_NAMES,
     ScenarioError,
@@ -65,7 +66,7 @@ def test_scenario_checks_run():
     )
     result = run_scenario(scenario_from_dict(config))
     assert result.passed
-    report = result.report_dict()
+    report = result.to_dict()
     assert report["passed"] and len(report["checks"]) == 3
 
 
@@ -138,6 +139,21 @@ def test_scenario_validation_errors(breakage, fragment):
     with pytest.raises(ScenarioError) as err:
         scenario_from_dict(config)
     assert fragment.lower() in str(err.value).lower()
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ({"kind": "affine_subspace", "anchor": [0, 1], "basis": [[0.6, 0.8]]},
+     AffineSubspace.spanned_by([0, 1], [[3, 4]])),
+    ({"kind": "halfspace", "normal": [1, 1], "offset": 0.5}, Halfspace([1, 1], 0.5)),
+], ids=["subspace-basis", "halfspace"])
+def test_config_maps_build_their_sets(spec, expected):
+    scenario = scenario_from_dict(minimal_config(maps=[{"kind": "hyperplane", "normal": [0, 1],
+                                                        "offset": 0.0}, spec]))
+    got = scenario.system.maps[1]
+    points = np.array([[0.3, 0.7], [-2.0, 5.0], [4.0, -1.5]])
+    assert type(got) is type(expected) and np.array_equal(got.apply(points),
+                                                          expected.apply(points))
+    assert run_scenario(scenario).passed
 
 
 @pytest.mark.parametrize("reference", [
@@ -259,10 +275,22 @@ def test_cli_run_emits_files_and_roundtrips(tmp_path, capsys):
     original = json.loads(omega_json.read_text())
     redone = json.loads((tmp_path / "re.json").read_text())
     assert redone["representatives"] == original["representatives"]
+    # without --out, omega prints the JSON it would write
+    capsys.readouterr()
+    assert main(["omega", str(orbit_csv), "--burn-in", "10", "--eps", "1e-6"]) == 0
+    assert capsys.readouterr().out == (tmp_path / "re.json").read_text()
 
     report = json.loads(report_json.read_text())
     assert report["passed"] is True
     assert svg.read_text().startswith("<svg")
+
+    # --no-svg writes the same files, less the SVG
+    rc = main(["run", str(config_path), "--out-dir", str(tmp_path / "plain"), "--no-svg"])
+    assert rc == 0
+    assert sorted(p.name for p in (tmp_path / "plain").iterdir()) == sorted(
+        p.name for p in (orbit_csv, omega_json, report_json))
+    for path in (orbit_csv, omega_json, report_json):
+        assert (tmp_path / "plain" / path.name).read_bytes() == path.read_bytes()
 
 
 def test_cli_run_exit_one_on_check_failure(tmp_path):
@@ -362,8 +390,16 @@ def test_cli_number_options_name_the_option(tmp_path, capsys, command, option):
     ("example4_triangle", ("checks", 3, "driver", "seed"), None, "config.checks[3].driver: "),
     ("example2_parallel", ("name",), None, "config.name: "),
     ("example2_parallel", ("name",), "../escaped", "config.name: "),
+    ("example2_parallel", ("driver", "alphabet"), 0, "config.driver.alphabet: "),
+    ("example4_triangle", ("driver",), {"kind": "cyclic", "alphabet": 4}, "config.driver: "),
+    ("example2_parallel", ("driver",), {"kind": "custom", "symbols": [1, 2], "alphabet": 3},
+     "config.driver: "),
+    ("example4_triangle", ("checks", 3, "driver"), {"kind": "cyclic", "permutation": [2, 1, 4, 3]},
+     "config.checks[3].driver: "),
 ], ids=["offset", "radius", "directions", "seed", "permutation", "permutation-1.5",
-        "spacing", "check-driver-seed", "name", "name-escapes"])
+        "spacing", "check-driver-seed", "name", "name-escapes", "alphabet-zero",
+        "alphabet-past-the-maps", "custom-alphabet-past-the-maps",
+        "check-driver-past-the-maps"])
 def test_cli_run_names_a_mistyped_value(tmp_path, capsys, preset, path, value, prefix):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps(_mistype(preset_config(preset), path, value)))
@@ -482,11 +518,11 @@ def test_cli_kaczmarz_default_driver_names_the_option_it_does_not_read(tmp_path,
     assert captured.err == "error: --seed: the cyclic driver does not read it\n"
 
 
-def test_config_alphabet_leaves_cyclic_and_iid_on_all_maps():
-    # only disjunctive and custom drivers read an ``alphabet`` key
-    assert driver_from_dict({"kind": "cyclic", "alphabet": 2}, 3, "d") == Cyclic((1, 2, 3))
+def test_config_alphabet_sizes_cyclic_and_iid_drivers():
+    # as ``--alphabet`` does on the command line
+    assert driver_from_dict({"kind": "cyclic", "alphabet": 2}, 3, "d") == Cyclic((1, 2))
     assert driver_from_dict({"kind": "iid", "seed": 4, "alphabet": 2}, 3, "d") \
-        == IidRandom.uniform(4, 3)
+        == IidRandom.uniform(4, 2)
 
 
 def test_cli_driver_audit(tmp_path, capsys):
@@ -523,6 +559,10 @@ def test_cli_presets(tmp_path, capsys):
     target = tmp_path / "ex3.json"
     assert main(["presets", "write", "example3_square", "--out", str(target)]) == 0
     scenario_from_dict(json.loads(target.read_text()))
+    capsys.readouterr()
+    # without --out, the config goes to stdout
+    assert main(["presets", "write", "example3_square"]) == 0
+    assert capsys.readouterr().out == target.read_text()
     assert main(["presets", "write", "nope"]) == 2
 
 
