@@ -70,22 +70,23 @@ def _listed(text, parse, option):
 
 
 # Each driver option and the driver config key it sets.
-DRIVER_OPTIONS = (("--alphabet", "alphabet"), ("--seed", "seed"),
-                  ("--perm", "permutation"), ("--weights", "weights"),
-                  ("--symbols", "symbols"))
+DRIVER_OPTIONS = (("--seed", "seed"), ("--perm", "permutation"),
+                  ("--weights", "weights"), ("--symbols", "symbols"))
 
 
-def _driver_from_args(args, n_symbols):
+def _driver_from_args(args, n_maps):
     """The driver the options name, built by the same code as config drivers."""
+    scenarios._require(args.alphabet is None or args.alphabet >= 1, "--alphabet",
+                       f"need an integer of at least 1, got {args.alphabet}")
     for option, key in DRIVER_OPTIONS:
         if getattr(args, option[2:]) is not None and key not in scenarios.DRIVER_KEYS[args.kind]:
             raise scenarios.ScenarioError(f"{option}: the {args.kind} driver does not read it")
-    d = {"kind": args.kind, "alphabet": args.alphabet, "seed": args.seed,
+    d = {"kind": args.kind, "seed": args.seed,
          "permutation": _listed(args.perm, int, "--perm"),
          "weights": _listed(args.weights, float, "--weights"),
          "symbols": _listed(args.symbols, int, "--symbols")}
     return scenarios.driver_from_dict({k: v for k, v in d.items() if v is not None},
-                                      n_symbols, "driver")
+                                      n_maps, "driver", args.alphabet)
 
 
 def _cmd_driver_gen(args):

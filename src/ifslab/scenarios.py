@@ -37,8 +37,8 @@ MAP_KEYS = {
 }
 CONSTRAINT_KEYS = ("normals", "offsets")
 DRIVER_KEYS = {
-    "cyclic": ("permutation", "alphabet"),
-    "iid": ("seed", "weights", "alphabet"),
+    "cyclic": ("permutation",),
+    "iid": ("seed", "weights"),
     "disjunctive": ("alphabet",),
     "custom": ("symbols", "alphabet"),
 }
@@ -158,39 +158,35 @@ def map_from_dict(d, where):
             return ifs.AffineMap(np.asarray(num("matrix"), dtype=float), num("shift"))
 
 
-def driver_from_dict(d, n_maps, where):
-    """Build a driver spec. Its alphabet size is ``d["alphabet"]``, else
-    ``n_maps``, unless a permutation or weights give one. With neither,
-    drivers that need an alphabet size fail."""
+def driver_from_dict(d, n_maps, where, alphabet=None):
+    """Build a driver spec over ``n_maps`` maps (None: no bound). Unless a
+    permutation or weights give it, its alphabet size is ``d["alphabet"]``
+    (disjunctive and custom drivers), else ``alphabet``, else ``n_maps``;
+    with none, drivers that need one fail. An alphabet past ``n_maps`` fails."""
     with _at(where):
         kind = _kind(d, where, "driver", DRIVER_KEYS)
-        n = _number(d, "alphabet", where, integer=True, low=1) if "alphabet" in d else n_maps
+        n = _number(d, "alphabet", where, integer=True, low=1) if "alphabet" in d \
+            else n_maps if alphabet is None else alphabet
 
         def size(needs):
             _require(n is not None, where, f"{kind} driver needs {needs}")
             return n
 
-        if kind == "cyclic":
-            if "permutation" in d:
-                return drivers.Cyclic(_numbers(d, "permutation", where))
-            return drivers.Cyclic(tuple(range(1, size("a permutation or an alphabet size") + 1)))
-        if kind == "iid":
-            if "weights" in d:
-                return drivers.IidRandom(d["seed"], _numbers(d, "weights", where))
-            return drivers.IidRandom.uniform(d["seed"], size("weights or an alphabet size"))
-        if kind == "disjunctive":
-            return drivers.DisjunctiveEnumeration(size("an alphabet size"))
-        if kind == "custom":
-            return drivers.Custom(_numbers(d, "symbols", where), n)
-
-
-def _driver_over(d, n_maps, where):
-    """A config driver whose alphabet, and so every symbol, lies within the
-    ``n_maps`` maps."""
-    driver = driver_from_dict(d, n_maps, where)
-    _require(driver.n_symbols <= n_maps, where,
-             f"driver alphabet {driver.n_symbols} exceeds map count {n_maps}")
-    return driver
+        if kind == "cyclic" and "permutation" in d:
+            driver = drivers.Cyclic(_numbers(d, "permutation", where))
+        elif kind == "cyclic":
+            driver = drivers.Cyclic(tuple(range(1, size("a permutation or an alphabet size") + 1)))
+        elif kind == "iid" and "weights" in d:
+            driver = drivers.IidRandom(d["seed"], _numbers(d, "weights", where))
+        elif kind == "iid":
+            driver = drivers.IidRandom.uniform(d["seed"], size("weights or an alphabet size"))
+        elif kind == "disjunctive":
+            driver = drivers.DisjunctiveEnumeration(size("an alphabet size"))
+        else:
+            driver = drivers.Custom(_numbers(d, "symbols", where), n)
+        _require(n_maps is None or driver.n_symbols <= n_maps, where,
+                 f"driver alphabet {driver.n_symbols} exceeds map count {n_maps}")
+        return driver
 
 
 def reference_from_dict(d, where):
@@ -239,7 +235,7 @@ def scenario_from_dict(config):
         with _at("config.maps"):
             system = ifs.IFSystem(maps, dim)
 
-        driver = _driver_over(config["driver"], system.n_maps, "config.driver")
+        driver = driver_from_dict(config["driver"], system.n_maps, "config.driver")
 
         x0 = _numbers(config, "x0", "config")
         with _at("config.x0"):
@@ -274,7 +270,7 @@ def scenario_from_dict(config):
                 _require(reference_cloud is not None, where,
                          f"{kind} needs a reference_set in the config")
             if kind == "compare_omegas":
-                norm["driver"] = _driver_over(c["driver"], system.n_maps, f"{where}.driver")
+                norm["driver"] = driver_from_dict(c["driver"], system.n_maps, f"{where}.driver")
         checks.append(norm)
 
     return Scenario(
@@ -295,7 +291,6 @@ class ScenarioResult(Report):
     representative_count: int
     checks: tuple
     passed: bool
-    scenario: Scenario = field(metadata=OMIT)
     orbit: ifs.Orbit = field(metadata=OMIT)
     estimate: omega.OmegaEstimate = field(metadata=OMIT)
 
@@ -341,7 +336,7 @@ def run_scenario(scenario):
         representative_count=estimate.representatives.size,
         checks=checks,
         passed=all(c["passed"] for c in checks),
-        scenario=scenario, orbit=orbit_result, estimate=estimate,
+        orbit=orbit_result, estimate=estimate,
     )
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from ifslab import fileio
 from ifslab.cli import main
-from ifslab.drivers import Cyclic, IidRandom
 from ifslab.errors import EmptyCloudError, GeometryValidationError
 from ifslab.geometry import AffineSubspace, Halfspace
 from ifslab.scenarios import (
@@ -390,8 +389,9 @@ def test_cli_number_options_name_the_option(tmp_path, capsys, command, option):
     ("example4_triangle", ("checks", 3, "driver", "seed"), None, "config.checks[3].driver: "),
     ("example2_parallel", ("name",), None, "config.name: "),
     ("example2_parallel", ("name",), "../escaped", "config.name: "),
-    ("example2_parallel", ("driver", "alphabet"), 0, "config.driver.alphabet: "),
-    ("example4_triangle", ("driver",), {"kind": "cyclic", "alphabet": 4}, "config.driver: "),
+    ("example2_parallel", ("driver",), {"kind": "disjunctive", "alphabet": 0},
+     "config.driver.alphabet: "),
+    ("example4_triangle", ("driver",), {"kind": "disjunctive", "alphabet": 4}, "config.driver: "),
     ("example2_parallel", ("driver",), {"kind": "custom", "symbols": [1, 2], "alphabet": 3},
      "config.driver: "),
     ("example4_triangle", ("checks", 3, "driver"), {"kind": "cyclic", "permutation": [2, 1, 4, 3]},
@@ -509,6 +509,22 @@ def test_cli_driver_option_its_kind_does_not_read_exits_two(options, error, caps
     assert captured.out == "" and captured.err == f"error: {error}\n"
 
 
+@pytest.mark.parametrize("command, error", [
+    (["driver", "gen", "--kind", "cyclic", "--alphabet", "0", "--n", "4"],
+     "--alphabet: need an integer of at least 1, got 0"),
+    (["kaczmarz", "SYSTEM", "--alphabet", "-1"], "--alphabet: need an integer of at least 1, got -1"),
+    (["kaczmarz", "SYSTEM", "--alphabet", "3"], "driver: driver alphabet 3 exceeds map count 2"),
+    (["kaczmarz", "SYSTEM", "--driver", "disjunctive", "--alphabet", "3"],
+     "driver: driver alphabet 3 exceeds map count 2"),
+], ids=["gen-zero", "kaczmarz-negative", "kaczmarz-past-the-rows", "disjunctive-past-the-rows"])
+def test_cli_alphabet_out_of_range_exits_two(tmp_path, capsys, command, error):
+    sys_csv = tmp_path / "sys.csv"
+    sys_csv.write_text("1,0,1\n0,1,2\n")
+    assert main([str(sys_csv) if c == "SYSTEM" else c for c in command]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
 def test_cli_kaczmarz_default_driver_names_the_option_it_does_not_read(tmp_path, capsys):
     sys_csv = tmp_path / "sys.csv"
     sys_csv.write_text("1,0,1\n0,1,2\n")
@@ -518,11 +534,16 @@ def test_cli_kaczmarz_default_driver_names_the_option_it_does_not_read(tmp_path,
     assert captured.err == "error: --seed: the cyclic driver does not read it\n"
 
 
-def test_config_alphabet_sizes_cyclic_and_iid_drivers():
-    # as ``--alphabet`` does on the command line
-    assert driver_from_dict({"kind": "cyclic", "alphabet": 2}, 3, "d") == Cyclic((1, 2))
-    assert driver_from_dict({"kind": "iid", "seed": 4, "alphabet": 2}, 3, "d") \
-        == IidRandom.uniform(4, 2)
+@pytest.mark.parametrize("d", [
+    {"kind": "cyclic", "alphabet": 2},
+    {"kind": "cyclic", "alphabet": 2, "permutation": [3, 1, 2]},
+    {"kind": "iid", "seed": 4, "alphabet": 2},
+], ids=["cyclic", "cyclic-with-permutation", "iid"])
+def test_config_alphabet_is_no_cyclic_or_iid_key(d):
+    # a permutation or weights give their alphabet, and the map count does
+    # otherwise; ``--alphabet`` sizes them on the command line only
+    with pytest.raises(ScenarioError, match=r"^d: unknown key 'alphabet'$"):
+        driver_from_dict(d, 3, "d")
 
 
 def test_cli_driver_audit(tmp_path, capsys):
