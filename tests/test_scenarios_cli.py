@@ -409,20 +409,27 @@ def test_cli_run_names_a_mistyped_value(tmp_path, capsys, preset, path, value, p
     assert not (tmp_path / "out").exists() and not (tmp_path / "escaped.orbit.csv").exists()
 
 
-@pytest.mark.parametrize("command, option", [
-    (["driver", "gen", "--kind", "cyclic", "--n", "4", "--perm", "1,x"], "--perm"),
+@pytest.mark.parametrize("command, error", [
+    (["driver", "gen", "--kind", "cyclic", "--n", "4", "--perm", "1,x"], "--perm: "),
     (["driver", "gen", "--kind", "iid", "--seed", "1", "--n", "4", "--weights", "0.5,y"],
-     "--weights"),
-    (["driver", "gen", "--kind", "custom", "--n", "2", "--symbols", "1,2.5"], "--symbols"),
-    (["kaczmarz", "SYSTEM", "--x0", "1,a"], "--x0"),
-], ids=["perm", "weights", "symbols", "x0"])
-def test_cli_options_name_a_bad_item(tmp_path, capsys, command, option):
+     "--weights: "),
+    (["driver", "gen", "--kind", "custom", "--n", "2", "--symbols", "1,2.5"], "--symbols: "),
+    (["kaczmarz", "SYSTEM", "--x0", "1,a"], "--x0: "),
+    (["driver", "gen", "--kind", "cyclic", "--alphabet", "0", "--n", "4"],
+     "--alphabet: need an integer of at least 1, got 0\n"),
+    (["kaczmarz", "SYSTEM", "--alphabet", "-1"], "--alphabet: need an integer of at least 1, got -1\n"),
+    (["kaczmarz", "SYSTEM", "--alphabet", "3"], "driver: driver alphabet 3 exceeds map count 2\n"),
+    (["kaczmarz", "SYSTEM", "--driver", "disjunctive", "--alphabet", "3"],
+     "driver: driver alphabet 3 exceeds map count 2\n"),
+], ids=["perm", "weights", "symbols", "x0", "alphabet-zero", "kaczmarz-alphabet-negative",
+        "kaczmarz-alphabet-past-the-rows", "disjunctive-alphabet-past-the-rows"])
+def test_cli_options_name_a_bad_item(tmp_path, capsys, command, error):
     sys_csv = tmp_path / "sys.csv"
     sys_csv.write_text("1,0,1\n0,1,2\n")
     command = [str(sys_csv) if c == "SYSTEM" else c for c in command]
     assert main(command) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and captured.err.startswith(f"error: {option}: ")
+    assert captured.out == "" and captured.err.startswith(f"error: {error}")
 
 
 @pytest.mark.parametrize("text, line", [
@@ -505,22 +512,6 @@ def test_cli_driver_gen_missing_option_exits_two(options, capsys):
 ])
 def test_cli_driver_option_its_kind_does_not_read_exits_two(options, error, capsys):
     assert main(["driver", "gen", *options, "--alphabet", "2", "--n", "5"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and captured.err == f"error: {error}\n"
-
-
-@pytest.mark.parametrize("command, error", [
-    (["driver", "gen", "--kind", "cyclic", "--alphabet", "0", "--n", "4"],
-     "--alphabet: need an integer of at least 1, got 0"),
-    (["kaczmarz", "SYSTEM", "--alphabet", "-1"], "--alphabet: need an integer of at least 1, got -1"),
-    (["kaczmarz", "SYSTEM", "--alphabet", "3"], "driver: driver alphabet 3 exceeds map count 2"),
-    (["kaczmarz", "SYSTEM", "--driver", "disjunctive", "--alphabet", "3"],
-     "driver: driver alphabet 3 exceeds map count 2"),
-], ids=["gen-zero", "kaczmarz-negative", "kaczmarz-past-the-rows", "disjunctive-past-the-rows"])
-def test_cli_alphabet_out_of_range_exits_two(tmp_path, capsys, command, error):
-    sys_csv = tmp_path / "sys.csv"
-    sys_csv.write_text("1,0,1\n0,1,2\n")
-    assert main([str(sys_csv) if c == "SYSTEM" else c for c in command]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {error}\n"
 
