@@ -3,9 +3,11 @@ minimal SVG scatter for 2-d runs.
 
 Floats are written with ``repr`` so every file round-trips bit for bit.
 Writers check their input before they open the file, then stream it one
-line per row, formatting each distinct point once; readers parse a file in
-one pass of its lines, each distinct coordinate text once, and check it to
-be finite as they parse it, so the earliest bad line is the one named.
+line per row, formatting each distinct point once. Readers take a file of
+plain rows, as the writers write them, through numpy's C reader; any other
+file takes a line loop that parses each distinct coordinate text once and
+checks it to be finite as it parses it, so the earliest bad line is the one
+named. The results are the same either way.
 """
 
 from __future__ import annotations
@@ -50,11 +52,84 @@ def read_orbit_csv(path):
 
 
 def _read_rows(path, orbit=False):
-    """The points, as one array, and the symbols of a CSV file, read in one
-    pass of its lines: an orbit file, after its header, or a headerless file
-    of value rows. Each distinct coordinate text is parsed, and checked to be
-    finite, once: only texts that parsed into a row of the first row's width
-    are remembered.
+    """The points, as one array, and the symbols of a CSV file: an orbit
+    file, after its header, or a headerless file of value rows.
+
+    A file of plain rows takes numpy's C reader (:func:`_plain_rows`); any
+    other file takes the line loop (:func:`_line_rows`), which defines what
+    the formats accept and names the first bad line. Both give the same
+    points, bit for bit, and the same symbols.
+    """
+    rows = _plain_rows(path, orbit)
+    return rows if rows is not None else _line_rows(path, orbit)
+
+
+def _plain_rows(path, orbit):
+    """The points and symbols of a file of plain rows, read by
+    ``np.loadtxt``, or None if the file is not one.
+
+    Plain rows hold only the bytes the writers put in them (digits, ``+``,
+    ``-``, ``.``, ``e`` and ``,``), end in ``\\n``, and have the cells of the
+    first row, all finite; an orbit file also starts with its header and
+    row 0, which are parsed here as the line loop parses them. ``loadtxt``
+    skips empty lines and, with ``usecols``, ignores extra cells, so the
+    line and comma counts, streamed from the bytes, must agree with the
+    rows it returns. Any error or warning of ``loadtxt`` declines the file
+    too. So this never accepts what :func:`_line_rows` rejects, and parses
+    each value as ``float`` and ``int`` do.
+    """
+    import warnings
+
+    plain = b"0123456789+-.e,\n"
+    lines = commas = 0
+    with open(path, "rb") as f:
+        head = [f.readline() for _ in range(2 if orbit else 0)]
+        last = b"\n"
+        for chunk in iter(lambda: f.read(1 << 16), b""):
+            if chunk.translate(None, plain):
+                return None
+            lines += chunk.count(b"\n")
+            commas += chunk.count(b",")
+            last = chunk[-1:]
+    lines += last != b"\n"
+    kwargs = {"ndmin": 2}
+    if orbit:
+        header, row0 = head
+        if (not header.startswith(b"n,symbol") or not header.isascii() or b"\r" in header
+                or not row0.endswith(b"\n") or row0.translate(None, plain)):
+            return None
+        cells = row0[:-1].decode().split(",", 2)
+        if len(cells) < 3 or cells[1]:
+            return None
+        try:
+            first = [float(c) for c in cells[2].split(",")]
+        except ValueError:
+            return None
+        d = len(first)
+        kwargs = {"dtype": [("symbol", np.int64), ("x", np.float64, (d,))],
+                  "usecols": range(1, d + 2), "skiprows": 2, "ndmin": 1}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            rows = np.loadtxt(path, delimiter=",", comments=None, **kwargs)
+        except (ValueError, Warning):
+            return None
+    if len(rows) != lines or (orbit and commas != lines * (d + 1)):
+        return None
+    symbols = []
+    if orbit:
+        points = np.empty((lines + 1, d))
+        points[0] = first
+        points[1:] = rows["x"]
+        rows, symbols = points, rows["symbol"].copy()
+    return (rows, symbols) if np.isfinite(rows).all() else None
+
+
+def _line_rows(path, orbit):
+    """The points and symbols of a CSV file, read in one pass of its lines.
+    Each distinct coordinate text is parsed, and checked to be finite, once:
+    only texts that parsed into a row of the first row's width are
+    remembered.
 
     An orbit row is ``n,symbol,`` and its coordinates; row 0 has an empty
     symbol and every later row has one. The first line that breaks this, or

@@ -638,9 +638,13 @@ ORBIT_HEAD = "n,symbol,x1,x2\n0,,0.5,0.25\n"
     # a non-finite value names its line before a later malformed line
     (ORBIT_HEAD + "1,1,nan,0.25\n2,2,0.5\n", GeometryValidationError, 3),
     (ORBIT_HEAD + "1,1,0.5,inf\n2,x,0.5,0.25\n", GeometryValidationError, 3),
+    # a float symbol, which numpy below 2.0 reads as an integer with a warning
+    (ORBIT_HEAD + "1,1,0.5,0.25\n2,3.0,0.5,0.25\n", GeometryValidationError, 4),
+    (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,0.5,0.25,0.125\n", GeometryValidationError, 4),  # a long row
 ], ids=["cell", "symbol", "ragged", "blank", "offset", "empty", "row0-symbol", "no-symbol",
         "nan", "inf", "overflow", "repeat-symbol", "repeat-no-symbol", "repeat-short",
-        "repeat-nonfinite", "nonfinite-then-ragged", "nonfinite-then-symbol"])
+        "repeat-nonfinite", "nonfinite-then-ragged", "nonfinite-then-symbol", "float-symbol",
+        "extra-value"])
 def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "orbit.csv"
     path.write_text(text)
