@@ -13,6 +13,7 @@ named. The results are the same either way.
 from __future__ import annotations
 
 import json
+import warnings
 from math import isfinite
 from pathlib import Path
 
@@ -69,52 +70,57 @@ def _plain_rows(path, orbit):
     ``np.loadtxt``, or None if the file is not one.
 
     Plain rows hold only the bytes the writers put in them (digits, ``+``,
-    ``-``, ``.``, ``e`` and ``,``), end in ``\\n``, and have the cells of the
-    first row, all finite; an orbit file also starts with its header and
-    row 0, which are parsed here as the line loop parses them. ``loadtxt``
-    skips empty lines and, with ``usecols``, ignores extra cells, so the
-    line and comma counts, streamed from the bytes, must agree with the
-    rows it returns. Any error or warning of ``loadtxt`` declines the file
-    too. So this never accepts what :func:`_line_rows` rejects, and parses
-    each value as ``float`` and ``int`` do.
+    ``-``, ``.``, ``e`` and ``,``), end in ``\\n``, are not empty, and have
+    the cells of the first row, all finite; an orbit file also starts with
+    its header and row 0, which are parsed here as the line loop parses
+    them. ``loadtxt`` skips empty lines and, with ``usecols``, ignores
+    extra cells, so the line and comma counts, streamed from the bytes
+    before it runs, must agree with the rows it returns. Any error or
+    warning of ``loadtxt`` declines the file too. A path that is no regular
+    file, such as a pipe, is declined before it is opened: it can be read
+    only once, by the line loop. So this never accepts what
+    :func:`_line_rows` rejects, and parses each value as ``float`` and
+    ``int`` do.
     """
-    import warnings
-
+    if not Path(path).is_file():
+        return None
     plain = b"0123456789+-.e,\n"
-    lines = commas = 0
     with open(path, "rb") as f:
-        head = [f.readline() for _ in range(2 if orbit else 0)]
+        kwargs = {"ndmin": 2}
+        if orbit:
+            header, row0 = f.readline(), f.readline()
+            if (not header.startswith(b"n,symbol") or not header.isascii() or b"\r" in header
+                    or not row0.endswith(b"\n") or row0.translate(None, plain)):
+                return None
+            cells = row0[:-1].decode().split(",", 2)
+            if len(cells) < 3 or cells[1]:
+                return None
+            try:
+                first = [float(c) for c in cells[2].split(",")]
+            except ValueError:
+                return None
+            d = len(first)
+            kwargs = {"dtype": [("symbol", np.int64), ("x", np.float64, (d,))],
+                      "usecols": range(1, d + 2), "skiprows": 2, "ndmin": 1}
+        lines = commas = 0
         last = b"\n"
         for chunk in iter(lambda: f.read(1 << 16), b""):
-            if chunk.translate(None, plain):
+            if (chunk.translate(None, plain) or b"\n\n" in chunk
+                    or (last == b"\n" and chunk.startswith(b"\n"))):
                 return None
             lines += chunk.count(b"\n")
             commas += chunk.count(b",")
             last = chunk[-1:]
     lines += last != b"\n"
-    kwargs = {"ndmin": 2}
-    if orbit:
-        header, row0 = head
-        if (not header.startswith(b"n,symbol") or not header.isascii() or b"\r" in header
-                or not row0.endswith(b"\n") or row0.translate(None, plain)):
-            return None
-        cells = row0[:-1].decode().split(",", 2)
-        if len(cells) < 3 or cells[1]:
-            return None
-        try:
-            first = [float(c) for c in cells[2].split(",")]
-        except ValueError:
-            return None
-        d = len(first)
-        kwargs = {"dtype": [("symbol", np.int64), ("x", np.float64, (d,))],
-                  "usecols": range(1, d + 2), "skiprows": 2, "ndmin": 1}
+    if orbit and commas != lines * (d + 1):
+        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             rows = np.loadtxt(path, delimiter=",", comments=None, **kwargs)
         except (ValueError, Warning):
             return None
-    if len(rows) != lines or (orbit and commas != lines * (d + 1)):
+    if len(rows) != lines:
         return None
     symbols = []
     if orbit:

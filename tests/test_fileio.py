@@ -3,7 +3,12 @@ byte the per-value writers they replaced (kept below as oracles), and every
 reader gives back what was written."""
 
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +350,101 @@ def test_numpy_reader_declines_or_equals_the_line_loop(tmp_path_factory, case):
         assert fast[0].dtype == np.float64 and fast[0].shape == points.shape
         assert fast[0].tobytes() == points.tobytes()
         assert np.asarray(fast[1], dtype=np.int64).tolist() == list(symbols)
+
+
+@pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.0\n\n", "\n1.0,2.0\n", "1.0,2.0\n\n3.0,4.0\n"],
+                         ids=["trailing", "leading", "inside"])
+def test_numpy_reader_declines_an_empty_line_before_it_parses(tmp_path, monkeypatch, text):
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("loadtxt ran on a file with an empty line")
+
+    path = tmp_path / "cloud.csv"
+    path.write_text(text)
+    monkeypatch.setattr(fileio.np, "loadtxt", loadtxt)
+    assert fileio._plain_rows(path, orbit=False) is None
+
+
+@contextmanager
+def piped(data):
+    """A path that reads ``data`` from a pipe, as a shell's ``<(...)`` does:
+    it can be read once, and it cannot seek."""
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(w, "wb") as f:
+                f.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed)
+    writer.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        writer.join()
+
+
+def _read(kind, path):
+    """The arrays that the reader of ``kind`` files gives for ``path``."""
+    if kind == "orbit":
+        orbit = fileio.read_orbit_csv(path)
+        return orbit.points, orbit.symbols
+    if kind == "cloud":
+        return (fileio.read_cloud_csv(path).points,)
+    system = fileio.read_linear_system_csv(path)
+    return system.coefficients, system.rhs
+
+
+@pytest.mark.skipif(not Path("/dev/fd").is_dir(), reason="needs /dev/fd")
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["plain", "crlf"])
+@pytest.mark.parametrize("kind", ["orbit", "cloud", "system"])
+def test_readers_read_a_pipe_as_they_read_a_file(tmp_path, kind, end):
+    # 4,000 rows of CRLF text run past the byte scan's first 64 KB chunk
+    points = np.random.default_rng(3).standard_normal((4_000, 3))
+    lines = [",".join(map(repr, row)) for row in points.tolist()]
+    if kind == "orbit":
+        lines = ["n,symbol,x1,x2,x3"] + [f"{k},{k % 3 + 1 if k else ''},{line}"
+                                         for k, line in enumerate(lines)]
+    data = (end.join(lines) + end).encode()
+    path = tmp_path / f"{kind}.csv"
+    path.write_bytes(data)
+    with piped(data) as pipe:
+        got = _read(kind, pipe)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in _read(kind, path)]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_cli_reads_a_system_from_stdin_and_a_named_pipe(tmp_path):
+    text = "1,0,1\n0,1,2\n"
+    path = tmp_path / "sys.csv"
+    path.write_text(text)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def run(arg, stdin=""):
+        # a reader that opened the named pipe twice would wait for a second writer
+        return subprocess.run([sys.executable, "-m", "ifslab.cli", "kaczmarz", arg], input=stdin,
+                              env=env, capture_output=True, text=True, check=True,
+                              timeout=30).stdout
+
+    def feed():
+        try:
+            with open(fifo, "w") as f:
+                f.write(text)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        from_fifo = run(str(fifo))
+    finally:
+        os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))  # frees a writer still waiting
+        writer.join()
+    assert run("/dev/stdin", text) == from_fifo == run(str(path))
 
 
 def test_reading_an_orbit_of_distinct_rows_holds_little_beside_its_points(tmp_path):
