@@ -99,14 +99,14 @@ def _cmd_driver_gen(args):
 
 
 def _read_sequence(path):
-    """The symbols of a file with one per line; blank lines are skipped."""
+    """The symbols, below 2**63, of a file with one per line; blank lines are skipped."""
     symbols = []
     for n, line in enumerate(Path(path).read_text().splitlines(), 1):
         text = line.strip()
-        if text.isdecimal():
+        if text.isdecimal() and int(text) < 1 << 63:
             symbols.append(int(text))
         elif text:
-            raise scenarios.ScenarioError(f"{path}, line {n}: not a symbol: {text!r}")
+            raise scenarios.ScenarioError(f"{path}, line {n}: not an int64 symbol: {text!r}")
     return symbols
 
 

@@ -92,8 +92,8 @@ class DisjunctiveEnumeration:
 
     def __post_init__(self):
         n = _integral(self.n_symbols, "alphabet size")
-        if n < 1:
-            raise ValueError("alphabet size must be at least 1")
+        if not 1 <= n < 1 << 63:
+            raise ValueError(f"alphabet size must lie in 1..2**63 - 1, got {n}")
         object.__setattr__(self, "n_symbols", n)
 
     def stream(self):

@@ -73,12 +73,14 @@ def _plain_rows(path, orbit):
     ``-``, ``.``, ``e`` and ``,``), end in ``\\n``, are not empty, and have
     the cells of the first row, all finite; an orbit file also starts with
     its header and row 0, which are parsed here as the line loop parses
-    them. ``loadtxt`` skips empty lines and, with ``usecols``, ignores
-    extra cells, so the line and comma counts, streamed from the bytes
-    before it runs, must agree with the rows it returns. Any error or
-    warning of ``loadtxt`` declines the file too. A path that is no regular
-    file, such as a pipe, is declined before it is opened: it can be read
-    only once, by the line loop. So this never accepts what
+    them. The byte scan declines a file with an empty line, the only line
+    that ``loadtxt`` skips with ``comments=None``, so it returns one row a
+    line. ``loadtxt`` checks the cell count of every row: an orbit row reads
+    into an ``n``, a ``symbol`` and ``x`` field, and an ``n`` cell that is
+    not an int64, which the line loop ignores, only declines the file. Any
+    error or warning of ``loadtxt`` declines the file too. A path that is no
+    regular file, such as a pipe, is declined before it is opened: it can be
+    read only once, by the line loop. So this never accepts what
     :func:`_line_rows` rejects, and parses each value as ``float`` and
     ``int`` do.
     """
@@ -99,32 +101,24 @@ def _plain_rows(path, orbit):
                 first = [float(c) for c in cells[2].split(",")]
             except ValueError:
                 return None
-            d = len(first)
-            kwargs = {"dtype": [("symbol", np.int64), ("x", np.float64, (d,))],
-                      "usecols": range(1, d + 2), "skiprows": 2, "ndmin": 1}
-        lines = commas = 0
+            kwargs = {"dtype": [("n", np.int64), ("symbol", np.int64),
+                                ("x", np.float64, (len(first),))],
+                      "skiprows": 2, "ndmin": 1}
         last = b"\n"
         for chunk in iter(lambda: f.read(1 << 16), b""):
             if (chunk.translate(None, plain) or b"\n\n" in chunk
                     or (last == b"\n" and chunk.startswith(b"\n"))):
                 return None
-            lines += chunk.count(b"\n")
-            commas += chunk.count(b",")
             last = chunk[-1:]
-    lines += last != b"\n"
-    if orbit and commas != lines * (d + 1):
-        return None
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             rows = np.loadtxt(path, delimiter=",", comments=None, **kwargs)
         except (ValueError, Warning):
             return None
-    if len(rows) != lines:
-        return None
     symbols = []
     if orbit:
-        points = np.empty((lines + 1, d))
+        points = np.empty((len(rows) + 1, len(first)))
         points[0] = first
         points[1:] = rows["x"]
         rows, symbols = points, rows["symbol"].copy()
@@ -139,8 +133,8 @@ def _line_rows(path, orbit):
 
     An orbit row is ``n,symbol,`` and its coordinates; row 0 has an empty
     symbol and every later row has one. The first line that breaks this, or
-    that has a non-numeric or non-finite value, or another number of values
-    than the first row, raises :class:`GeometryValidationError` naming the
+    that has a non-numeric or non-finite value, a symbol outside int64, or
+    another number of values than the first row, raises :class:`GeometryValidationError` naming the
     path and the 1-based line. Blank lines after the last row are ignored,
     and so are empty lines and blank lines before the first row of a
     headerless file; any other blank line is rejected.
@@ -166,6 +160,8 @@ def _line_rows(path, orbit):
                                          "row 0 has an empty symbol and every later row has one")
                     if index:
                         symbols.append(int(symbol))
+                        if not -(1 << 63) <= symbols[-1] < 1 << 63:
+                            raise ValueError(f"symbol {symbol!r} is outside int64")
                 j = parsed.get(text)
                 if j is None:
                     values = [float(c) for c in text.split(",")]

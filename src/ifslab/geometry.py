@@ -6,15 +6,11 @@ single point of shape ``(d,)`` or a stack of points of shape ``(k, d)`` and
 return the matching shape. All functions are pure; the geometric objects are
 immutable and safe to share between threads.
 
-Each set is also the IFS generator that projects onto it (see
-``ifs.MapSpec``): ``kernel`` is its unvalidated ``project``, ``apply`` the
-validated ``project_*`` function, and ``linear_part()`` the orthogonal
-projector of a hyperplane or subspace, or ``None`` for a convex body, whose
-projection is only piecewise affine.
-
-The unvalidated ``project`` methods take an optional ``out``, a float64 array
-of the result's shape: the image is written into it and ``out`` is returned.
-``out`` must not alias ``p``. The arithmetic is the same with or without it.
+Each set is also the IFS :class:`Generator` that projects onto it: its
+``kernel`` is its unvalidated ``project``, whose arithmetic is the same with
+or without ``out``, and ``linear_part()`` the orthogonal projector of a
+hyperplane or subspace, or ``None`` for a convex body, whose projection is
+only piecewise affine.
 """
 
 from __future__ import annotations
@@ -65,16 +61,21 @@ def _as_points(x, dim, what="point"):
 
 def _init_normal(obj, what):
     """Validate and store ``normal`` and ``offset`` of a hyperplane or
-    halfspace ``obj`` and cache ``_aa = normal . normal``."""
+    halfspace ``obj`` and cache ``_aa = normal . normal``, which must be
+    finite. The norm is ``np.linalg.norm``'s, the square root of ``_aa``."""
     n = as_vector(obj.normal, what=f"{what} normal")
-    if float(np.linalg.norm(n)) < MIN_NORMAL_NORM:
+    with np.errstate(over="ignore"):
+        aa = float(n @ n)
+    if not math.isfinite(aa):
+        raise GeometryValidationError(f"{what} normal is too long: its squared norm overflows")
+    if math.sqrt(aa) < MIN_NORMAL_NORM:
         raise GeometryValidationError(f"{what} normal is numerically zero")
     offset = float(obj.offset)
     if not math.isfinite(offset):
         raise GeometryValidationError(f"{what} offset must be finite, got {offset!r}")
     object.__setattr__(obj, "normal", n)
     object.__setattr__(obj, "offset", offset)
-    object.__setattr__(obj, "_aa", float(n @ n))
+    object.__setattr__(obj, "_aa", aa)
 
 
 def distance(x, y):
@@ -84,8 +85,25 @@ def distance(x, y):
     return float(np.linalg.norm(a - b))
 
 
+class Generator:
+    """Base of the IFS generators: the sets of this module, each standing for
+    the projection onto itself, and ``ifs.AffineMap``. Each has ``dim``;
+    ``kernel(p, out=None)``, its unvalidated image of ``(d,)`` or ``(k, d)``
+    float64 points, which orbit steps use, written into ``out`` (a float64
+    array of the result's shape, not aliasing ``p``) when it is given and
+    returned; ``apply(x)``, the kernel on validated input, so orbit points
+    equal repeated ``apply`` bit for bit; and ``linear_part()``, the matrix
+    of an affine generator or ``None``."""
+
+    def apply(self, x):
+        return self.kernel(_as_points(x, self.dim))
+
+    def linear_part(self):
+        return None
+
+
 @dataclass(frozen=True, eq=False)
-class Hyperplane:
+class Hyperplane(Generator):
     """The set ``{x : normal . x = offset}``."""
 
     normal: np.ndarray
@@ -107,16 +125,13 @@ class Hyperplane:
 
     kernel = project
 
-    def apply(self, x):
-        return project_hyperplane(x, self)
-
     def linear_part(self):
         a = self.normal
         return np.eye(self.dim) - np.outer(a, a) / self._aa
 
 
 @dataclass(frozen=True, eq=False)
-class AffineSubspace:
+class AffineSubspace(Generator):
     """``anchor + span(rows of basis)`` with orthonormal basis rows.
 
     An empty basis (shape ``(0, d)``) denotes the single point ``anchor``.
@@ -153,9 +168,6 @@ class AffineSubspace:
         return np.add(self.anchor, ((p - self.anchor) @ self.basis.T) @ self.basis, out=out)
 
     kernel = project
-
-    def apply(self, x):
-        return project_affine_subspace(x, self)
 
     def linear_part(self):
         return self.basis.T @ self.basis
@@ -195,17 +207,14 @@ class AffineSubspace:
         return cls(x0, vt[rank:])
 
 
-class ConvexBody:
-    """Base of the convex bodies accepted by :func:`project_convex`, with the
-    generator methods they share. A metric projection onto a general convex
-    body is only piecewise affine, so it has no global linear part."""
+class ConvexBody(Generator):
+    """Base of the convex bodies accepted by :func:`project_convex`. A metric
+    projection onto a general convex body is only piecewise affine, so it
+    has no global linear part."""
 
     def apply(self, x):
         # looked up at call time, so a wrapper set on the module sees each call
         return project_convex(x, self)
-
-    def linear_part(self):
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,14 +316,12 @@ def _checked(shape, kind, what):
 
 def project_hyperplane(x, plane):
     """Orthogonal projection onto a hyperplane: ``x - ((a.x - b)/|a|^2) a``."""
-    plane = _checked(plane, Hyperplane, "a hyperplane")
-    return plane.project(_as_points(x, plane.dim))
+    return _checked(plane, Hyperplane, "a hyperplane").apply(x)
 
 
 def project_affine_subspace(x, subspace):
     """Orthogonal projection onto an affine subspace given by point + orthonormal basis."""
-    subspace = _checked(subspace, AffineSubspace, "an affine subspace")
-    return subspace.project(_as_points(x, subspace.dim))
+    return _checked(subspace, AffineSubspace, "an affine subspace").apply(x)
 
 
 def project_convex(x, body):

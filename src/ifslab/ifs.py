@@ -3,7 +3,7 @@ Hutchinson operator on finite clouds, and Lipschitz diagnostics for
 composition words.
 
 A generator is a set of :mod:`geometry`, standing for the metric projection
-onto it, or an :class:`AffineMap` (see ``MapSpec``).
+onto it, or an :class:`AffineMap` (see :class:`geometry.Generator`).
 
 Symbols are 1-based: the driver value ``i`` selects ``maps[i - 1]``. A word
 ``(u_1, ..., u_l)`` denotes the composition that applies ``u_1`` first.
@@ -48,7 +48,7 @@ def spectral_norm(matrix):
 
 
 @dataclass(frozen=True, eq=False)
-class AffineMap:
+class AffineMap(geometry.Generator):
     """``x -> matrix @ x + shift`` with spectral norm of ``matrix`` at most
     ``1 + NONEXPANSIVE_SLACK`` (validated at construction)."""
 
@@ -82,21 +82,8 @@ class AffineMap:
             return np.add(self.matrix @ p, self.shift, out=out)
         return np.add(p @ self.matrix.T, self.shift, out=out)
 
-    def apply(self, x):
-        return self.kernel(geometry._as_points(x, self.dim))
-
     def linear_part(self):
         return self.matrix
-
-
-#: Generator variants accepted by IFSystem: the sets of :mod:`geometry`, each
-#: the projection onto itself, and affine maps. Each has ``dim``; ``apply``,
-#: which validates its input; ``kernel``, the same arithmetic unvalidated,
-#: which orbit steps use, so orbit points equal repeated ``apply`` bit for
-#: bit; and ``linear_part()``, the matrix of an affine generator or ``None``.
-#: ``kernel(p, out=None)`` writes the image into ``out`` when given and
-#: returns it; ``out`` must not alias ``p``.
-MapSpec = (geometry.Hyperplane, geometry.AffineSubspace, geometry.ConvexBody, AffineMap)
 
 
 def HyperplaneProjection(plane):
@@ -126,7 +113,7 @@ class IFSystem:
         if len(maps) == 0:
             raise GeometryValidationError("an IFS needs at least one generator")
         for k, m in enumerate(maps):
-            if not isinstance(m, MapSpec):
+            if not isinstance(m, geometry.Generator):
                 raise GeometryValidationError(f"map {k + 1} is not a generator: {type(m).__name__}")
             if m.dim != self.dim:
                 raise DimensionMismatchError(self.dim, m.dim, f"map {k + 1}")

@@ -15,11 +15,9 @@ import numpy as np
 from .clouds import OMIT, Report
 from .drivers import DRIVER
 from .errors import GeometryValidationError
-from .geometry import Hyperplane, as_vector
+from .geometry import MIN_NORMAL_NORM, Hyperplane, as_vector
 from .ifs import IFSystem, Orbit, _iterate
 from .omega import OmegaEstimate, estimate_omega
-
-MIN_ROW_NORM = 1e-12
 
 # Normals count as parallel when their unit vectors differ (up to sign) by
 # less than this.
@@ -38,7 +36,7 @@ SCREEN_ROWS = 4
 
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Rows ``a_i . x = b_i`` with nonzero coefficient vectors."""
+    """Rows ``a_i . x = b_i`` whose coefficient vectors are valid hyperplane normals."""
 
     coefficients: np.ndarray
     rhs: np.ndarray
@@ -52,9 +50,13 @@ class LinearSystem:
             raise GeometryValidationError("need exactly one right-hand side per row")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise GeometryValidationError("system entries must be finite")
-        norms = np.linalg.norm(a, axis=1)
-        if np.any(norms < MIN_ROW_NORM):
-            raise GeometryValidationError("zero row in linear system")
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(a, axis=1)
+        bad = (norms < MIN_NORMAL_NORM) | (norms == np.inf)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise GeometryValidationError(f"row {k + 1} of the linear system has norm {norms[k]:g}, "
+                                          f"outside [{MIN_NORMAL_NORM!r}, inf)")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "rhs", b)
         # The rows scaled to unit normals, read by residual and solve.

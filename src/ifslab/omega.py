@@ -35,7 +35,8 @@ SAMPLE_SPACING = 1e-3
 
 @dataclass(frozen=True, eq=False)
 class SegmentSet:
-    """A union of closed line segments, with exact point-to-set distance."""
+    """A union of closed line segments of finite squared length, with exact
+    point-to-set distance."""
 
     starts: np.ndarray
     ends: np.ndarray
@@ -45,6 +46,11 @@ class SegmentSet:
         b = points_of(np.atleast_2d(self.ends), a.shape[1], "segment ends")
         if a.shape != b.shape:
             raise GeometryValidationError("segment starts/ends must be matching (k, d) arrays")
+        with np.errstate(over="ignore"):
+            long = ~np.isfinite(np.einsum("ij,ij->i", b - a, b - a))
+        if long.any():
+            raise GeometryValidationError(f"segment {int(np.argmax(long)) + 1} is too long: "
+                                          "its squared length overflows")
         object.__setattr__(self, "starts", a)
         object.__setattr__(self, "ends", b)
 

@@ -23,8 +23,9 @@ TRIANGLE_VERTICES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 SQUARE_CORNERS = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0))
 
 # The keys each config object may hold besides its ``kind``: for an object
-# with kinds, the keys that kind reads. Every driver kind takes an
-# ``alphabet``, its alphabet size where no permutation or weights give one.
+# with kinds, the keys that kind reads. A disjunctive or custom driver takes
+# an ``alphabet``; a cyclic or iid one has the alphabet of its permutation or
+# weights, or else the map count.
 CONFIG_KEYS = ("name", "dim", "maps", "driver", "x0", "steps", "burn_in", "cluster_eps",
                "reference_set", "checks")
 MAP_KEYS = {
@@ -189,6 +190,13 @@ def driver_from_dict(d, n_maps, where, alphabet=None):
         return driver
 
 
+def _lasting(driver, steps, where):
+    """``driver``, if it gives the ``steps`` symbols of a run."""
+    held = len(driver.symbols) if isinstance(driver, drivers.Custom) else steps
+    _require(held >= steps, where, f"custom driver holds {held} symbols, the run takes {steps}")
+    return driver
+
+
 def reference_from_dict(d, where):
     """Build ``(cloud, exact_or_none)`` from a reference description."""
     with _at(where):
@@ -242,6 +250,7 @@ def scenario_from_dict(config):
             x0 = geometry.as_vector(x0, dim=dim)
 
         steps = _number(config, "steps", "config", integer=True, low=1)
+        _lasting(driver, steps, "config.driver")
         burn_in = _number(config, "burn_in", "config", default=steps // 10, integer=True)
         _require(burn_in <= steps, "config.burn_in", "burn-in must lie within the run")
         cluster_eps = _number(config, "cluster_eps", "config", default=DEFAULT_CLUSTER_EPS)
@@ -270,7 +279,8 @@ def scenario_from_dict(config):
                 _require(reference_cloud is not None, where,
                          f"{kind} needs a reference_set in the config")
             if kind == "compare_omegas":
-                norm["driver"] = driver_from_dict(c["driver"], system.n_maps, f"{where}.driver")
+                other = driver_from_dict(c["driver"], system.n_maps, f"{where}.driver")
+                norm["driver"] = _lasting(other, steps, f"{where}.driver")
         checks.append(norm)
 
     return Scenario(

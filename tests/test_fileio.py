@@ -21,7 +21,7 @@ from ifslab.cli import main
 from ifslab.clouds import points_of
 from ifslab.errors import GeometryValidationError
 from ifslab.fileio import SVG_MARGIN_FRAC, SVG_SIZE
-from ifslab.kaczmarz import MIN_ROW_NORM
+from ifslab.geometry import MIN_NORMAL_NORM
 from ifslab.scenarios import PRESET_NAMES, scenario_from_dict
 
 
@@ -232,13 +232,20 @@ def test_cloud_csv_round_trip(tmp_path_factory, points):
 @settings(max_examples=60, deadline=None)
 @given(rows=point_sets(max_rows=12), rhs=st.lists(VALUES, min_size=12, max_size=12))
 def test_linear_system_csv_round_trip(tmp_path_factory, rows, rhs):
-    rows = rows[np.abs(rows).max(axis=1) >= MIN_ROW_NORM]  # a zero row is no equation
+    rows = rows[np.abs(rows).max(axis=1) >= MIN_NORMAL_NORM]  # a zero row is no equation
     if not len(rows):
         return
     data = np.column_stack([rows, rhs[:len(rows)]])
     path = tmp_path_factory.mktemp("system") / "system.csv"
     fileio.write_cloud_csv(path, data)  # the same headerless float rows
-    with np.errstate(over="ignore", invalid="ignore"):  # row norms of +-1.8e308 overflow
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1)
+    if not np.isfinite(norms).all():  # a row of +-1.8e308 is no hyperplane normal
+        row = int(np.argmax(~np.isfinite(norms))) + 1
+        with pytest.raises(GeometryValidationError, match=f"^row {row} of the linear system "):
+            fileio.read_linear_system_csv(path)
+        return
+    with np.errstate(over="ignore"):  # b / |a| of a short row under a huge b overflows
         back = fileio.read_linear_system_csv(path)
     assert np.array_equal(back.coefficients, data[:, :-1])
     assert np.array_equal(back.rhs, data[:, -1])

@@ -75,6 +75,10 @@ def test_hyperplane_and_halfspace_share_normal_validation():
     for cls, word in ((Hyperplane, "hyperplane"), (Halfspace, "halfspace")):
         with pytest.raises(GeometryValidationError, match=f"^{word} normal is numerically zero$"):
             cls([0.0, 0.0], 1.0)
+        # 1e200 is finite, and its square is not: the projection would take no step
+        with pytest.raises(GeometryValidationError,
+                           match=f"^{word} normal is too long: its squared norm overflows$"):
+            cls([1e200, 1e200], 0.0)
         with pytest.raises(GeometryValidationError, match=f"^{word} normal: "):
             cls([0.0, np.nan], 1.0)
         for offset in (np.nan, np.inf, -np.inf):

@@ -41,10 +41,19 @@ def seeded_well_conditioned_system(seed, n=20):
 
 
 def test_system_validation():
-    with pytest.raises(GeometryValidationError):
+    with pytest.raises(GeometryValidationError, match=r"^row 1 of the linear system has norm 0, "):
         LinearSystem([[0.0, 0.0]], [1.0])
     with pytest.raises(GeometryValidationError):
         LinearSystem(np.empty((0, 2)), np.empty(0))
+
+
+@pytest.mark.parametrize("rows, row", [([[1e200, 1e200], [0, 1]], 1), ([[0, 1], [1e200, 1e200]], 2),
+                                       ([[1e300, 0], [1, 1]], 1)])
+def test_a_row_whose_norm_overflows_is_rejected(rows, row):
+    # its unit normal would be zero, so every residual on it would read 0
+    with pytest.raises(GeometryValidationError,
+                       match=rf"^row {row} of the linear system has norm inf, outside \[1e-12, inf\)$"):
+        LinearSystem(rows, [0, 1])
 
 
 def test_system_to_ifs_maps_rows_in_order():

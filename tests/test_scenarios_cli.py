@@ -132,6 +132,12 @@ def test_scenario_failing_check():
      "config.driver: unknown key 'weights'"),
     (_mistype(preset_config("example2_parallel"), ("reference_set", "spacing"), 5e-3),
      "config.reference_set: unknown key 'spacing'"),
+    # a custom driver shorter than the run, as the run's driver or a check's
+    ({"driver": {"kind": "custom", "symbols": [1, 2]}},
+     "config.driver: custom driver holds 2 symbols, the run takes 60"),
+    ({"checks": [{"kind": "compare_omegas", "tol": 1e-6,
+                  "driver": {"kind": "custom", "symbols": [1, 2] * 29}}]},
+     "config.checks[0].driver: custom driver holds 58 symbols, the run takes 60"),
 ])
 def test_scenario_validation_errors(breakage, fragment):
     config = minimal_config(**breakage)
@@ -159,6 +165,8 @@ def test_config_maps_build_their_sets(spec, expected):
     {"kind": "points", "points": []},
     {"kind": "points", "points": [[0.0, float("nan")]]},
     {"kind": "triangle_boundary", "vertices": [[0, 0], [1, 0], [0, float("inf")]]},
+    # finite vertices whose sides are longer than float64 holds
+    {"kind": "triangle_boundary", "vertices": [[0, 0], [1e308, 0], [0, 1e308]]},
 ])
 def test_reference_set_errors_name_the_config_key(reference):
     with pytest.raises(ScenarioError, match=r"^config\.reference_set: "):
@@ -396,10 +404,15 @@ def test_cli_number_options_name_the_option(tmp_path, capsys, command, option):
      "config.driver: "),
     ("example4_triangle", ("checks", 3, "driver"), {"kind": "cyclic", "permutation": [2, 1, 4, 3]},
      "config.checks[3].driver: "),
+    ("example2_parallel", ("driver",), {"kind": "custom", "symbols": [1, 2]},
+     "config.driver: custom driver holds 2 symbols, the run takes 100\n"),
+    ("example2_parallel", ("checks", 1), {"kind": "compare_omegas", "tol": 1e-6,
+                                          "driver": {"kind": "custom", "symbols": [1, 2]}},
+     "config.checks[1].driver: custom driver holds 2 symbols, the run takes 100\n"),
 ], ids=["offset", "radius", "directions", "seed", "permutation", "permutation-1.5",
         "spacing", "check-driver-seed", "name", "name-escapes", "alphabet-zero",
         "alphabet-past-the-maps", "custom-alphabet-past-the-maps",
-        "check-driver-past-the-maps"])
+        "check-driver-past-the-maps", "custom-driver-short", "check-custom-driver-short"])
 def test_cli_run_names_a_mistyped_value(tmp_path, capsys, preset, path, value, prefix):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps(_mistype(preset_config(preset), path, value)))
@@ -421,8 +434,11 @@ def test_cli_run_names_a_mistyped_value(tmp_path, capsys, preset, path, value, p
     (["kaczmarz", "SYSTEM", "--alphabet", "3"], "driver: driver alphabet 3 exceeds map count 2\n"),
     (["kaczmarz", "SYSTEM", "--driver", "disjunctive", "--alphabet", "3"],
      "driver: driver alphabet 3 exceeds map count 2\n"),
+    (["driver", "gen", "--kind", "disjunctive", "--alphabet", "99999999999999999999", "--n", "3"],
+     "driver: alphabet size must lie in 1..2**63 - 1, got 99999999999999999999\n"),
 ], ids=["perm", "weights", "symbols", "x0", "alphabet-zero", "kaczmarz-alphabet-negative",
-        "kaczmarz-alphabet-past-the-rows", "disjunctive-alphabet-past-the-rows"])
+        "kaczmarz-alphabet-past-the-rows", "disjunctive-alphabet-past-the-rows",
+        "disjunctive-alphabet-past-int64"])
 def test_cli_options_name_a_bad_item(tmp_path, capsys, command, error):
     sys_csv = tmp_path / "sys.csv"
     sys_csv.write_text("1,0,1\n0,1,2\n")
@@ -436,7 +452,8 @@ def test_cli_options_name_a_bad_item(tmp_path, capsys, command, error):
     ("1\n2\nx\n", 3),
     ("1\n2.5\n", 2),
     ("1\n\n  \n2\n1e0\n", 5),
-], ids=["word", "fraction", "after-blank-lines"])
+    ("1\n99999999999999999999\n", 2),
+], ids=["word", "fraction", "after-blank-lines", "past-int64"])
 def test_cli_driver_audit_names_the_line_of_a_bad_symbol(tmp_path, capsys, text, line):
     seq = tmp_path / "seq.txt"
     seq.write_text(text)
@@ -514,6 +531,16 @@ def test_cli_driver_option_its_kind_does_not_read_exits_two(options, error, caps
     assert main(["driver", "gen", *options, "--alphabet", "2", "--n", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {error}\n"
+
+
+def test_cli_kaczmarz_rejects_a_row_whose_norm_overflows(tmp_path, capsys):
+    # the row's unit normal would be zero, and (5, 1) would pass for a solution
+    sys_csv = tmp_path / "sys.csv"
+    sys_csv.write_text("1e200,1e200,0\n0,1,1\n")
+    assert main(["kaczmarz", str(sys_csv), "--x0", "5,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: row 1 of the linear system has norm inf, outside [1e-12, inf)\n"
 
 
 def test_cli_kaczmarz_default_driver_names_the_option_it_does_not_read(tmp_path, capsys):
@@ -641,10 +668,11 @@ ORBIT_HEAD = "n,symbol,x1,x2\n0,,0.5,0.25\n"
     # a float symbol, which numpy below 2.0 reads as an integer with a warning
     (ORBIT_HEAD + "1,1,0.5,0.25\n2,3.0,0.5,0.25\n", GeometryValidationError, 4),
     (ORBIT_HEAD + "1,1,0.5,0.25\n2,2,0.5,0.25,0.125\n", GeometryValidationError, 4),  # a long row
+    (ORBIT_HEAD + "1,99999999999999999999,0.5,0.25\n", GeometryValidationError, 3),  # past int64
 ], ids=["cell", "symbol", "ragged", "blank", "offset", "empty", "row0-symbol", "no-symbol",
         "nan", "inf", "overflow", "repeat-symbol", "repeat-no-symbol", "repeat-short",
         "repeat-nonfinite", "nonfinite-then-ragged", "nonfinite-then-symbol", "float-symbol",
-        "extra-value"])
+        "extra-value", "symbol-past-int64"])
 def test_orbit_csv_faults_name_the_file_and_line(tmp_path, text, error, line):
     path = tmp_path / "orbit.csv"
     path.write_text(text)
