@@ -22,7 +22,7 @@ import numpy as np
 from .clouds import PointCloud, distinct_rows, points_of
 from .errors import EmptyCloudError, GeometryValidationError
 from .ifs import Orbit
-from .kaczmarz import LinearSystem
+from .kaczmarz import LinearSystem, _RowError
 
 # SVG scatter: viewport side in pixels; margin as a fraction of the data span.
 SVG_SIZE = 800
@@ -46,28 +46,28 @@ def _distinct_texts(points):
 
 
 def read_orbit_csv(path):
-    points, symbols = _read_rows(path, orbit=True)
+    points, symbols, _ = _read_rows(path, orbit=True)
     if not len(points):
         raise EmptyCloudError(f"{path}: no orbit rows")
     return Orbit(points, np.asarray(symbols, dtype=np.int64))
 
 
 def _read_rows(path, orbit=False):
-    """The points, as one array, and the symbols of a CSV file: an orbit
-    file, after its header, or a headerless file of value rows.
+    """The points, as one array, the symbols and each point's 1-based line
+    of a CSV file: an orbit file, after its header, or a headerless file.
 
     A file of plain rows takes numpy's C reader (:func:`_plain_rows`); any
     other file takes the line loop (:func:`_line_rows`), which defines what
     the formats accept and names the first bad line. Both give the same
-    points, bit for bit, and the same symbols.
+    points, bit for bit, and the same symbols and lines.
     """
     rows = _plain_rows(path, orbit)
     return rows if rows is not None else _line_rows(path, orbit)
 
 
 def _plain_rows(path, orbit):
-    """The points and symbols of a file of plain rows, read by
-    ``np.loadtxt``, or None if the file is not one.
+    """The points, symbols and 1-based lines of a file of plain rows, read
+    by ``np.loadtxt``, or None if the file is not one.
 
     Plain rows hold only the bytes the writers put in them (digits, ``+``,
     ``-``, ``.``, ``e`` and ``,``), end in ``\\n``, are not empty, and have
@@ -122,11 +122,12 @@ def _plain_rows(path, orbit):
         points[0] = first
         points[1:] = rows["x"]
         rows, symbols = points, rows["symbol"].copy()
-    return (rows, symbols) if np.isfinite(rows).all() else None
+    lines = range(1 + orbit, 1 + orbit + len(rows))  # no empty line: one row a line
+    return (rows, symbols, lines) if np.isfinite(rows).all() else None
 
 
 def _line_rows(path, orbit):
-    """The points and symbols of a CSV file, read in one pass of its lines.
+    """The points, symbols and 1-based lines of a CSV file, read in one pass.
     Each distinct coordinate text is parsed, and checked to be finite, once:
     only texts that parsed into a row of the first row's width are
     remembered.
@@ -139,7 +140,7 @@ def _line_rows(path, orbit):
     and so are empty lines and blank lines before the first row of a
     headerless file; any other blank line is rejected.
     """
-    distinct, index, symbols, width = [], [], [], None
+    distinct, index, symbols, numbers, width = [], [], [], [], None
     parsed = {}  # coordinate text -> the index of its values in distinct
     with open(path) as f:
         lines = enumerate(f, 1)
@@ -181,7 +182,8 @@ def _line_rows(path, orbit):
                     raise GeometryValidationError(f"{path}, line {number}: {exc}") from None
                 break
             index.append(j)
-    return np.asarray(distinct)[np.asarray(index, dtype=np.intp)], symbols
+            numbers.append(number)
+    return np.asarray(distinct)[np.asarray(index, dtype=np.intp)], symbols, numbers
 
 
 def write_cloud_csv(path, cloud):
@@ -194,20 +196,23 @@ def write_cloud_csv(path, cloud):
 def read_cloud_csv(path):
     """One point per row, no header; an empty file raises
     :class:`EmptyCloudError`."""
-    points, _ = _read_rows(path)
+    points, _, _ = _read_rows(path)
     if len(points) == 0:
         raise EmptyCloudError(f"{path}: empty cloud file")
     return PointCloud(points)
 
 
 def read_linear_system_csv(path):
-    """Rows ``a1,...,ad,b`` with no header."""
-    data, _ = _read_rows(path)
+    """Rows ``a1,...,ad,b`` with no header; a rejected row is named by its line."""
+    data, _, lines = _read_rows(path)
     if len(data) == 0:
         raise GeometryValidationError(f"{path}: empty system file")
     if data.shape[1] < 2:
         raise GeometryValidationError(f"{path}: rows need at least one coefficient and one rhs")
-    return LinearSystem(data[:, :-1], data[:, -1])
+    try:
+        return LinearSystem(data[:, :-1], data[:, -1])
+    except _RowError as exc:
+        raise GeometryValidationError(f"{path}, line {lines[exc.row - 1]}: {exc}") from None
 
 
 def write_json(path, payload):

@@ -10,7 +10,8 @@ Each set is also the IFS :class:`Generator` that projects onto it: its
 ``kernel`` is its unvalidated ``project``, whose arithmetic is the same with
 or without ``out``, and ``linear_part()`` the orthogonal projector of a
 hyperplane or subspace, or ``None`` for a convex body, whose projection is
-only piecewise affine.
+only piecewise affine. ``Hyperplane`` and ``Halfspace`` share the private
+base ``_Plane`` and its rule, which ``kaczmarz.LinearSystem`` applies to rows.
 """
 
 from __future__ import annotations
@@ -59,25 +60,6 @@ def _as_points(x, dim, what="point"):
     return p
 
 
-def _init_normal(obj, what):
-    """Validate and store ``normal`` and ``offset`` of a hyperplane or
-    halfspace ``obj`` and cache ``_aa = normal . normal``, which must be
-    finite. The norm is ``np.linalg.norm``'s, the square root of ``_aa``."""
-    n = as_vector(obj.normal, what=f"{what} normal")
-    with np.errstate(over="ignore"):
-        aa = float(n @ n)
-    if not math.isfinite(aa):
-        raise GeometryValidationError(f"{what} normal is too long: its squared norm overflows")
-    if math.sqrt(aa) < MIN_NORMAL_NORM:
-        raise GeometryValidationError(f"{what} normal is numerically zero")
-    offset = float(obj.offset)
-    if not math.isfinite(offset):
-        raise GeometryValidationError(f"{what} offset must be finite, got {offset!r}")
-    object.__setattr__(obj, "normal", n)
-    object.__setattr__(obj, "offset", offset)
-    object.__setattr__(obj, "_aa", aa)
-
-
 def distance(x, y):
     """Euclidean distance between two points of the same dimension."""
     a = as_vector(x)
@@ -103,18 +85,40 @@ class Generator:
 
 
 @dataclass(frozen=True, eq=False)
-class Hyperplane(Generator):
-    """The set ``{x : normal . x = offset}``."""
+class _Plane(Generator):
+    """``normal`` and ``offset`` under one rule: a finite normal of norm at least
+    ``MIN_NORMAL_NORM`` with a finite square ``_aa = normal . normal``, and a
+    finite offset whose foot point from the origin, ``offset / _aa * normal``, is too."""
 
     normal: np.ndarray
     offset: float
 
     def __post_init__(self):
-        _init_normal(self, "hyperplane")
+        what = type(self).__name__.lower()
+        n = as_vector(self.normal, what=f"{what} normal")
+        with np.errstate(over="ignore"):
+            aa = float(n @ n)
+        if not math.isfinite(aa):
+            raise GeometryValidationError(f"{what} normal is too long: its squared norm overflows")
+        if math.sqrt(aa) < MIN_NORMAL_NORM:
+            raise GeometryValidationError(f"{what} normal is numerically zero")
+        offset = float(self.offset)
+        if not math.isfinite(offset):
+            raise GeometryValidationError(f"{what} offset must be finite, got {offset!r}")
+        if not math.isfinite(offset / aa):
+            raise GeometryValidationError(
+                f"{what} has no float64 foot point: offset / |normal|^2 = {offset / aa:g}")
+        object.__setattr__(self, "normal", n)
+        object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "_aa", aa)
 
     @property
     def dim(self):
         return self.normal.shape[0]
+
+
+class Hyperplane(_Plane):
+    """The set ``{x : normal . x = offset}``."""
 
     def project(self, p, out=None):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:
@@ -126,8 +130,7 @@ class Hyperplane(Generator):
     kernel = project
 
     def linear_part(self):
-        a = self.normal
-        return np.eye(self.dim) - np.outer(a, a) / self._aa
+        return np.eye(self.dim) - np.outer(self.normal, self.normal) / self._aa
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,19 +220,8 @@ class ConvexBody(Generator):
         return project_convex(x, self)
 
 
-@dataclass(frozen=True, eq=False)
-class Halfspace(ConvexBody):
+class Halfspace(_Plane, ConvexBody):
     """The set ``{x : normal . x <= offset}``."""
-
-    normal: np.ndarray
-    offset: float
-
-    def __post_init__(self):
-        _init_normal(self, "halfspace")
-
-    @property
-    def dim(self):
-        return self.normal.shape[0]
 
     def project(self, p, out=None):
         """Unvalidated projection of ``(d,)`` or ``(k, d)`` float64 points:

@@ -34,9 +34,17 @@ SCREEN_SLACK = 4.0
 SCREEN_ROWS = 4
 
 
+class _RowError(GeometryValidationError):
+    """A row, 1-based, of a linear system that breaks the plane rule."""
+
+    def __init__(self, row, problem):
+        self.row = row
+        super().__init__(f"row {row} of the linear system {problem}")
+
+
 @dataclass(frozen=True, eq=False)
 class LinearSystem:
-    """Rows ``a_i . x = b_i`` whose coefficient vectors are valid hyperplane normals."""
+    """Rows ``a_i . x = b_i``, each a valid :class:`geometry.Hyperplane`."""
 
     coefficients: np.ndarray
     rhs: np.ndarray
@@ -48,15 +56,16 @@ class LinearSystem:
             raise GeometryValidationError(f"coefficients need shape (m, d), got {a.shape}")
         if b.shape != (len(a),):
             raise GeometryValidationError("need exactly one right-hand side per row")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise GeometryValidationError("system entries must be finite")
-        with np.errstate(over="ignore"):
-            norms = np.linalg.norm(a, axis=1)
-        bad = (norms < MIN_NORMAL_NORM) | (norms == np.inf)
-        if bad.any():
-            k = int(np.argmax(bad))
-            raise GeometryValidationError(f"row {k + 1} of the linear system has norm {norms[k]:g}, "
-                                          f"outside [{MIN_NORMAL_NORM!r}, inf)")
+        # geometry's plane rule on all rows, which no non-finite entry passes
+        with np.errstate(all="ignore"):
+            aa = np.add.reduce(a * a, axis=1)  # np.linalg.norm's arithmetic
+            norms, foot = np.sqrt(aa), b / aa
+        ok = (norms >= MIN_NORMAL_NORM) & (norms < np.inf) & np.isfinite(foot)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            if not MIN_NORMAL_NORM <= norms[k] < np.inf:
+                raise _RowError(k + 1, f"has norm {norms[k]:g}, outside [{MIN_NORMAL_NORM!r}, inf)")
+            raise _RowError(k + 1, f"has no float64 foot point: b / |a|^2 = {foot[k]:g}")
         object.__setattr__(self, "coefficients", a)
         object.__setattr__(self, "rhs", b)
         # The rows scaled to unit normals, read by residual and solve.
@@ -80,11 +89,15 @@ class LinearSystem:
     def n_rows(self):
         return len(self.coefficients)
 
-    def row_hyperplane(self, row):
-        """Hyperplane of the 1-based row index."""
+    def _index(self, row):
+        """The 0-based index of the 1-based ``row``."""
         if not 1 <= row <= self.n_rows:
             raise GeometryValidationError(f"row {row} outside 1..{self.n_rows}")
-        return Hyperplane(self.coefficients[row - 1], self.rhs[row - 1])
+        return row - 1
+
+    def row_hyperplane(self, row):
+        """Hyperplane of the 1-based row index."""
+        return Hyperplane(self.coefficients[self._index(row)], self.rhs[row - 1])
 
     def residual(self, x):
         """Row-normalized max violation: ``max_i |a_i . x - b_i| / |a_i|``."""
@@ -135,8 +148,7 @@ class LinearSystem:
 
 def system_to_ifs(system):
     """One hyperplane projection per row, row order preserved."""
-    return IFSystem(tuple(system.row_hyperplane(i + 1) for i in range(system.n_rows)),
-                    system.dim)
+    return IFSystem(tuple(map(Hyperplane, system.coefficients, system.rhs)), system.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,13 +223,9 @@ def solve(system, driver, tol, max_iter, x0=None):
 def gap_between(system, row_i, row_j):
     """Infimum distance between two row hyperplanes: zero unless the normals
     are parallel, then the offset difference along the common normal."""
-    hi = system.row_hyperplane(row_i)
-    hj = system.row_hyperplane(row_j)
-    u = hi.normal / np.linalg.norm(hi.normal)
-    v = hj.normal / np.linalg.norm(hj.normal)
+    i, j = system._index(row_i), system._index(row_j)
+    u, v = system._a_unit[i], system._a_unit[j]
     sign = 1.0 if float(u @ v) >= 0.0 else -1.0
     if float(np.linalg.norm(u - sign * v)) > PARALLEL_ANGLE_TOL:
         return 0.0
-    ci = hi.offset / np.linalg.norm(hi.normal)
-    cj = hj.offset / np.linalg.norm(hj.normal)
-    return float(abs(ci - sign * cj))
+    return float(abs(system._b_unit[i] - sign * system._b_unit[j]))

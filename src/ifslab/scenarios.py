@@ -36,6 +36,9 @@ MAP_KEYS = {
     "box": ("lower", "upper"),
     "affine": ("matrix", "shift"),
 }
+# The map kinds whose keys, in MAP_KEYS order, are their constructor's arguments.
+MAP_TYPES = {"hyperplane": geometry.Hyperplane, "halfspace": geometry.Halfspace,
+             "ball": geometry.Ball, "box": geometry.Box, "affine": ifs.AffineMap}
 CONSTRAINT_KEYS = ("normals", "offsets")
 DRIVER_KEYS = {
     "cyclic": ("permutation",),
@@ -138,25 +141,16 @@ def map_from_dict(d, where):
         def num(key, default=None):
             return _numbers(d, key, where, default)
 
-        if kind == "hyperplane":
-            return geometry.Hyperplane(num("normal"), num("offset"))
-        if kind == "affine_subspace":
-            if "constraints" in d:
-                c = _object(d["constraints"], f"{where}.constraints", CONSTRAINT_KEYS)
-                return geometry.AffineSubspace.from_constraints(
-                    _numbers(c, "normals", f"{where}.constraints"),
-                    _numbers(c, "offsets", f"{where}.constraints"))
-            if "basis" in d:
-                return geometry.AffineSubspace(num("anchor"), np.asarray(num("basis"), dtype=float))
-            return geometry.AffineSubspace.spanned_by(num("anchor"), num("directions", []))
-        if kind == "halfspace":
-            return geometry.Halfspace(num("normal"), num("offset"))
-        if kind == "ball":
-            return geometry.Ball(num("center"), num("radius"))
-        if kind == "box":
-            return geometry.Box(num("lower"), num("upper"))
-        if kind == "affine":
-            return ifs.AffineMap(np.asarray(num("matrix"), dtype=float), num("shift"))
+        if kind in MAP_TYPES:
+            return MAP_TYPES[kind](*map(num, MAP_KEYS[kind]))
+        if "constraints" in d:  # an affine_subspace from here on
+            c = _object(d["constraints"], f"{where}.constraints", CONSTRAINT_KEYS)
+            return geometry.AffineSubspace.from_constraints(
+                _numbers(c, "normals", f"{where}.constraints"),
+                _numbers(c, "offsets", f"{where}.constraints"))
+        if "basis" in d:
+            return geometry.AffineSubspace(num("anchor"), np.asarray(num("basis"), dtype=float))
+        return geometry.AffineSubspace.spanned_by(num("anchor"), num("directions", []))
 
 
 def driver_from_dict(d, n_maps, where, alphabet=None):

@@ -4,6 +4,7 @@ reader gives back what was written."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -21,7 +22,7 @@ from ifslab.cli import main
 from ifslab.clouds import points_of
 from ifslab.errors import GeometryValidationError
 from ifslab.fileio import SVG_MARGIN_FRAC, SVG_SIZE
-from ifslab.geometry import MIN_NORMAL_NORM
+from ifslab.geometry import MIN_NORMAL_NORM, Hyperplane
 from ifslab.scenarios import PRESET_NAMES, scenario_from_dict
 
 
@@ -229,8 +230,19 @@ def test_cloud_csv_round_trip(tmp_path_factory, points):
     assert np.array_equal(np.signbit(back), np.signbit(points))
 
 
+def is_plane(normal, offset):
+    """Whether ``Hyperplane(normal, offset)`` is accepted."""
+    try:
+        Hyperplane(normal, offset)
+    except GeometryValidationError:
+        return False
+    return True
+
+
 @settings(max_examples=60, deadline=None)
 @given(rows=point_sets(max_rows=12), rhs=st.lists(VALUES, min_size=12, max_size=12))
+# a short row under a huge b has no float64 foot point b a / |a|^2
+@example(rows=np.array([[1.0, 0.0], [1e-12, 0.0]]), rhs=[1.0, 1e300] + [0.0] * 10)
 def test_linear_system_csv_round_trip(tmp_path_factory, rows, rhs):
     rows = rows[np.abs(rows).max(axis=1) >= MIN_NORMAL_NORM]  # a zero row is no equation
     if not len(rows):
@@ -238,15 +250,14 @@ def test_linear_system_csv_round_trip(tmp_path_factory, rows, rhs):
     data = np.column_stack([rows, rhs[:len(rows)]])
     path = tmp_path_factory.mktemp("system") / "system.csv"
     fileio.write_cloud_csv(path, data)  # the same headerless float rows
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(rows, axis=1)
-    if not np.isfinite(norms).all():  # a row of +-1.8e308 is no hyperplane normal
-        row = int(np.argmax(~np.isfinite(norms))) + 1
-        with pytest.raises(GeometryValidationError, match=f"^row {row} of the linear system "):
+    planes = [is_plane(row[:-1], row[-1]) for row in data]
+    if not all(planes):  # a row of +-1.8e308, or one too far out, is no hyperplane
+        row = planes.index(False) + 1
+        located = f"^{re.escape(str(path))}, line {row}: row {row} of the linear system "
+        with pytest.raises(GeometryValidationError, match=located):
             fileio.read_linear_system_csv(path)
         return
-    with np.errstate(over="ignore"):  # b / |a| of a short row under a huge b overflows
-        back = fileio.read_linear_system_csv(path)
+    back = fileio.read_linear_system_csv(path)
     assert np.array_equal(back.coefficients, data[:, :-1])
     assert np.array_equal(back.rhs, data[:, -1])
     assert np.array_equal(np.signbit(back.coefficients), np.signbit(data[:, :-1]))
@@ -345,7 +356,7 @@ def test_numpy_reader_declines_or_equals_the_line_loop(tmp_path_factory, case):
     orbit = kind == "orbit"
     fast = fileio._plain_rows(path, orbit)
     try:
-        points, symbols = fileio._line_rows(path, orbit)
+        points, symbols, lines = fileio._line_rows(path, orbit)
     except GeometryValidationError:
         assert fast is None
         return
@@ -357,6 +368,7 @@ def test_numpy_reader_declines_or_equals_the_line_loop(tmp_path_factory, case):
         assert fast[0].dtype == np.float64 and fast[0].shape == points.shape
         assert fast[0].tobytes() == points.tobytes()
         assert np.asarray(fast[1], dtype=np.int64).tolist() == list(symbols)
+        assert list(fast[2]) == lines
 
 
 @pytest.mark.parametrize("text", ["1.0,2.0\n3.0,4.0\n\n", "\n1.0,2.0\n", "1.0,2.0\n\n3.0,4.0\n"],

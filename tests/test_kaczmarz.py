@@ -2,10 +2,11 @@
 hyperplane gaps, boundedness, and the block stop test against a per-step one."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ifslab import (
@@ -13,6 +14,8 @@ from ifslab import (
     Cyclic,
     DriverExhaustedError,
     GeometryValidationError,
+    Halfspace,
+    Hyperplane,
     IidRandom,
     LinearSystem,
     SymbolRangeError,
@@ -54,6 +57,54 @@ def test_a_row_whose_norm_overflows_is_rejected(rows, row):
     with pytest.raises(GeometryValidationError,
                        match=rf"^row {row} of the linear system has norm inf, outside \[1e-12, inf\)$"):
         LinearSystem(rows, [0, 1])
+
+
+# Magnitudes from 1e-300 to 1e300, either sign, and zero.
+PLANE_VALUES = st.one_of(st.just(0.0), st.builds(lambda m, negative: -m if negative else m,
+                                                 st.floats(1e-300, 1e300), st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(normal=st.lists(PLANE_VALUES, min_size=1, max_size=4), offset=PLANE_VALUES,
+       point=st.lists(st.floats(-1e3, 1e3), min_size=4, max_size=4))
+@example(normal=[1e-12, 0.0], offset=1e300, point=[0.0] * 4)  # its foot point is past float64
+@example(normal=[1e-12, 0.0], offset=-1e300, point=[0.0] * 4)
+@example(normal=[1e-12, 0.0], offset=1e276, point=[1e3] * 4)  # its foot point is (1e288, 0)
+def test_a_plane_a_halfspace_and_a_system_row_share_one_rule(normal, offset, point):
+    d = len(normal)
+    points = np.array([np.zeros(d), np.ones(d), point[:d]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow in numpy is an error here
+        built = []
+        for build in (Hyperplane, Halfspace, lambda a, b: LinearSystem([a], [b])):
+            try:
+                built.append(build(normal, offset))
+            except GeometryValidationError:
+                pass
+        assert len(built) in (0, 3)
+        if not built:
+            return
+        plane, halfspace, system = built
+        a = system.coefficients
+        assert np.array_equal(system._a_unit, a / np.linalg.norm(a, axis=1)[:, None])
+        assert np.array_equal(system._b_unit, system.rhs / np.linalg.norm(a, axis=1))
+        row = system_to_ifs(system).maps[0]
+        for p in points:
+            for image in (plane.apply(p), halfspace.apply(p), row.apply(p)):
+                assert np.isfinite(image).all()
+            assert np.isfinite(system.residual(p))
+
+
+@pytest.mark.parametrize("rows, rhs, problem", [
+    ([[1, 0], [np.nan, 1]], [0, 1], "has norm nan, "),
+    ([[1, 0], [np.inf, 1]], [0, 1], "has norm inf, "),
+    ([[1, 0], [0, 1]], [0, np.inf], "has no float64 foot point: b / |a|^2 = inf$"),
+    ([[1, 0], [0, 1]], [0, np.nan], "has no float64 foot point: b / |a|^2 = nan$"),
+    ([[1, 0], [1e-12, 0]], [0, 1e300], "has no float64 foot point: b / |a|^2 = inf$"),
+], ids=["nan-coefficient", "inf-coefficient", "inf-rhs", "nan-rhs", "far-row"])
+def test_a_row_that_breaks_the_plane_rule_is_named(rows, rhs, problem):
+    with pytest.raises(GeometryValidationError, match=f"^row 2 of the linear system {problem}"):
+        LinearSystem(rows, rhs)
 
 
 def test_system_to_ifs_maps_rows_in_order():
@@ -175,6 +226,12 @@ def test_gap_between_examples():
     assert gap_between(scaled, 1, 2) == 0.0
     antiparallel = LinearSystem([[0, 1], [0, -1]], [0, 1])  # y=0 and y=-1
     assert gap_between(antiparallel, 1, 2) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [(0, 1), (1, 3), (-1, 2)])
+def test_gap_between_rejects_a_row_outside_the_system(rows):
+    with pytest.raises(GeometryValidationError, match=r"^row -?\d outside 1\.\.2$"):
+        gap_between(PARALLEL_PAIR, *rows)
 
 
 @pytest.mark.parametrize("tol, max_iter, message", [

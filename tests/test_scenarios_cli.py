@@ -1,7 +1,11 @@
 """Scenario configs, preset round trips, and the command-line surface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -409,10 +413,15 @@ def test_cli_number_options_name_the_option(tmp_path, capsys, command, option):
     ("example2_parallel", ("checks", 1), {"kind": "compare_omegas", "tol": 1e-6,
                                           "driver": {"kind": "custom", "symbols": [1, 2]}},
      "config.checks[1].driver: custom driver holds 2 symbols, the run takes 100\n"),
+    # its foot point offset / |normal|^2 times the normal is past float64
+    ("example2_parallel", ("maps", 0),
+     {"kind": "hyperplane", "normal": [1e-12, 0], "offset": 1e300},
+     "config.maps[0]: hyperplane has no float64 foot point"),
 ], ids=["offset", "radius", "directions", "seed", "permutation", "permutation-1.5",
         "spacing", "check-driver-seed", "name", "name-escapes", "alphabet-zero",
         "alphabet-past-the-maps", "custom-alphabet-past-the-maps",
-        "check-driver-past-the-maps", "custom-driver-short", "check-custom-driver-short"])
+        "check-driver-past-the-maps", "custom-driver-short", "check-custom-driver-short",
+        "far-plane"])
 def test_cli_run_names_a_mistyped_value(tmp_path, capsys, preset, path, value, prefix):
     conf = tmp_path / "c.json"
     conf.write_text(json.dumps(_mistype(preset_config(preset), path, value)))
@@ -540,7 +549,27 @@ def test_cli_kaczmarz_rejects_a_row_whose_norm_overflows(tmp_path, capsys):
     assert main(["kaczmarz", str(sys_csv), "--x0", "5,1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: row 1 of the linear system has norm inf, outside [1e-12, inf)\n"
+    assert captured.err == (f"error: {sys_csv}, line 1: "
+                            "row 1 of the linear system has norm inf, outside [1e-12, inf)\n")
+
+
+@pytest.mark.parametrize("text, line, problem", [
+    ("1,0,1\n\n0,0,1\n", 3, "row 2 of the linear system has norm 0, "),
+    ("1e-12,0,1e300\n0,1,1\n", 1, "row 1 of the linear system has no float64 foot point: "),
+], ids=["zero-row-after-an-empty-line", "far-row"])
+@pytest.mark.parametrize("source", ["file", "pipe"])
+def test_cli_kaczmarz_names_the_file_and_line_of_a_rejected_row(tmp_path, text, line, problem,
+                                                                source):
+    # the line loop skips the empty line, so row 2 of the first system is on line 3
+    path = tmp_path / "sys.csv"
+    path.write_text(text)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    arg, stdin = (str(path), None) if source == "file" else ("/dev/stdin", text)
+    done = subprocess.run([sys.executable, "-m", "ifslab.cli", "kaczmarz", arg], input=stdin,
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith(f"error: {arg}, line {line}: {problem}")
+    assert "Traceback" not in done.stderr
 
 
 def test_cli_kaczmarz_default_driver_names_the_option_it_does_not_read(tmp_path, capsys):
