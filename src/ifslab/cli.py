@@ -50,7 +50,7 @@ def _cmd_run(args):
 
 def _cmd_omega(args):
     with scenarios._at("--eps"):
-        omega._check_cluster_eps(args.eps)
+        omega._check_tolerance(args.eps, "cluster_eps", positive=True)
     orbit = fileio.read_orbit_csv(args.orbit)
     with scenarios._at("--burn-in"):
         omega._check_burn_in(args.burn_in, orbit)
@@ -137,7 +137,7 @@ def _cmd_driver_audit(args):
 
 def _cmd_kaczmarz(args):
     with scenarios._at("--tol"):
-        kaczmarz._check_tol(args.tol)
+        omega._check_tolerance(args.tol, "tolerance", positive=True)
     with scenarios._at("--max-iter"):
         kaczmarz._check_max_iter(args.max_iter)
     system = fileio.read_linear_system_csv(args.system)

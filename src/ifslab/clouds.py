@@ -12,6 +12,7 @@ a process that does pays the import once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -277,22 +278,24 @@ def _first_occurrences(keys):
 
 def points_of(cloud, dim=None, what="cloud"):
     """The ``(k, d)`` float64 points of a :class:`PointCloud` or of raw
-    points, without a copy: the one check of a finite point set.
+    points, without a copy: the one check of a finite point set, and through
+    ``geometry`` of every finite point and vector the lab takes.
 
     Raises :class:`GeometryValidationError` unless the shape is ``(k, d)``
     with ``d >= 1`` and every coordinate is finite, :class:`EmptyCloudError`
     when ``k == 0``, and :class:`DimensionMismatchError` when ``dim`` is
-    given and differs from ``d``.
+    given and differs from ``d``; each message starts ``what: ``.
     """
     pts = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     if pts.ndim != 2 or pts.shape[1] == 0:
-        raise GeometryValidationError(f"{what} needs shape (k, d), got {pts.shape}")
+        raise GeometryValidationError(f"{what}: needs shape (k, d), got {pts.shape}")
     if len(pts) == 0:
-        raise EmptyCloudError(f"{what} must be nonempty")
+        raise EmptyCloudError(f"{what}: must be nonempty")
     # min and max propagate NaN and, unlike isfinite, allocate no (k, d) mask
     # (such masks raised the presets benchmark's peak RSS by about 5%)
-    if not (np.isfinite(pts.min()) and np.isfinite(pts.max())):
-        raise GeometryValidationError(f"{what} coordinates must be finite")
+    low, high = np.minimum.reduce(pts, axis=None), np.maximum.reduce(pts, axis=None)
+    if not (math.isfinite(low) and math.isfinite(high)):
+        raise GeometryValidationError(f"{what}: coordinates must be finite")
     if dim is not None and pts.shape[1] != dim:
         raise DimensionMismatchError(dim, pts.shape[1], what)
     return pts

@@ -255,6 +255,7 @@ def symbol_blocks(driver, n, n_symbols, size=None):
 
 def generate(spec, n):
     """The first ``n`` symbols of the driver as an int64 array."""
+    n = _integral(n, "symbol count")
     if n < 0:
         raise ValueError("symbol count must be nonnegative")
     return spec.stream().take(n)
@@ -299,10 +300,10 @@ def check_disjunctive(seq, window_length, alphabet_size=None):
     contiguous windows. Missing words are listed in lexicographic order,
     truncated to the first 20. Windows are read as base-N integer codes, which
     run over the words in lexicographic order; the cost is O(prefix + N^m)."""
-    if window_length < 1:
+    m = _integral(window_length, "window length")
+    if m < 1:
         raise ValueError("window length must be at least 1")
     seq, n = _infer_alphabet(seq, alphabet_size)
-    m = int(window_length)
     total = n ** m
     if total > 10_000_000:
         raise ValueError(f"window audit would enumerate {total} words; pick a smaller m")

@@ -2,7 +2,8 @@
 and their metric projections.
 
 Everything works on float64 numpy arrays. Projection functions accept a
-single point of shape ``(d,)`` or a stack of points of shape ``(k, d)`` and
+single point of shape ``(d,)`` or a stack of points of shape ``(k, d)``,
+checked by :func:`clouds.points_of` like every point set of the lab, and
 return the matching shape. All functions are pure; the geometric objects are
 immutable and safe to share between threads.
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .clouds import points_of
 from .errors import DimensionMismatchError, GeometryValidationError
 
 # Normals shorter than this are rejected at construction time, so projections
@@ -35,29 +37,13 @@ DEPENDENT_RESIDUAL_TOL = 1e-10
 
 
 def as_vector(x, dim=None, what="vector"):
-    """Coerce to a finite 1-d float64 array, optionally checking its dimension."""
+    """Coerce to a 1-d float64 array, checked by :func:`clouds.points_of` as a
+    one-row stack: finite, of positive dimension, and ``dim`` when given."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise GeometryValidationError(f"{what}: expected a 1-d coordinate array, got shape {v.shape}")
-    if v.shape[0] == 0:
-        raise GeometryValidationError(f"{what}: dimension must be positive")
-    if not np.all(np.isfinite(v)):
-        raise GeometryValidationError(f"{what}: coordinates must be finite")
-    if dim is not None and v.shape[0] != dim:
-        raise DimensionMismatchError(dim, v.shape[0], what)
+    points_of(v[None], dim, what)
     return v
-
-
-def _as_points(x, dim, what="point"):
-    """Coerce to ``(d,)`` or ``(k, d)`` float64 with the expected dimension."""
-    p = np.asarray(x, dtype=float)
-    if p.ndim not in (1, 2):
-        raise GeometryValidationError(f"{what}: expected shape (d,) or (k, d), got {p.shape}")
-    if p.shape[-1] != dim:
-        raise DimensionMismatchError(dim, p.shape[-1], what)
-    if not np.all(np.isfinite(p)):
-        raise GeometryValidationError(f"{what}: coordinates must be finite")
-    return p
 
 
 def distance(x, y):
@@ -73,12 +59,15 @@ class Generator:
     ``kernel(p, out=None)``, its unvalidated image of ``(d,)`` or ``(k, d)``
     float64 points, which orbit steps use, written into ``out`` (a float64
     array of the result's shape, not aliasing ``p``) when it is given and
-    returned; ``apply(x)``, the kernel on validated input, so orbit points
+    returned; ``apply(x)``, the kernel on a ``(d,)`` point or a nonempty
+    ``(k, d)`` stack checked by :func:`clouds.points_of`, so orbit points
     equal repeated ``apply`` bit for bit; and ``linear_part()``, the matrix
     of an affine generator or ``None``."""
 
     def apply(self, x):
-        return self.kernel(_as_points(x, self.dim))
+        p = np.asarray(x, dtype=float)
+        points_of(p[None] if p.ndim == 1 else p, self.dim, "point")
+        return self.kernel(p)
 
     def linear_part(self):
         return None
@@ -318,8 +307,7 @@ def project_affine_subspace(x, subspace):
 
 def project_convex(x, body):
     """Metric projection onto a halfspace, ball, or box."""
-    body = _checked(body, ConvexBody, "a convex body")
-    return body.project(_as_points(x, body.dim))
+    return Generator.apply(_checked(body, ConvexBody, "a convex body"), x)
 
 
 def orthonormalize(vectors):

@@ -60,10 +60,7 @@ class AffineMap(geometry.Generator):
         s = geometry.as_vector(self.shift, what="affine shift")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise GeometryValidationError(f"affine matrix must be square, got {m.shape}")
-        if m.shape[0] != s.shape[0]:
-            raise DimensionMismatchError(s.shape[0], m.shape[0], "affine matrix")
-        if not np.all(np.isfinite(m)):
-            raise GeometryValidationError("affine matrix must be finite")
+        clouds.points_of(m, s.shape[0], "affine matrix")
         norm = spectral_norm(m)
         if norm > 1.0 + NONEXPANSIVE_SLACK:
             raise GeometryValidationError(
@@ -167,7 +164,7 @@ def symbols_from(driver, n, n_symbols):
 def apply_map(system, symbol, x):
     """One step ``f_symbol(x)`` of the system."""
     drivers.check_symbols(np.array([symbol], dtype=np.int64), system.n_maps)
-    return system.maps[symbol - 1].apply(geometry.as_vector(x, dim=system.dim))
+    return system.maps[symbol - 1].apply(geometry.as_vector(x, system.dim, "x"))
 
 
 def _iterate(system, x0, driver, n, stop=None):
@@ -325,7 +322,8 @@ def run_orbit(system, x0, driver, n):
     Deterministic: repeated calls with equal inputs reproduce the points bit
     for bit.
     """
-    start = geometry.as_vector(x0, dim=system.dim)
+    start = geometry.as_vector(x0, system.dim, "x0")
+    n = drivers._integral(n, "step count")
     if n < 0:
         raise ValueError("step count must be nonnegative")
     return _iterate(system, start, driver, n)
@@ -378,7 +376,9 @@ def composition_lipschitz_on_tree(system, word, x0, depth, samples, seed):
     :class:`DegenerateTreeError` when every sampled pair collapses.
     """
     syms = validate_word(system, word)
-    start = geometry.as_vector(x0, dim=system.dim)
+    start = geometry.as_vector(x0, system.dim, "x0")
+    depth = drivers._integral(depth, "depth")
+    samples = drivers._integral(samples, "samples")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     if samples < 2:

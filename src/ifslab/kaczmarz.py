@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clouds import OMIT, Report
-from .drivers import DRIVER
+from .drivers import DRIVER, _integral
 from .errors import GeometryValidationError
 from .geometry import MIN_NORMAL_NORM, Hyperplane, as_vector
 from .ifs import IFSystem, Orbit, _iterate
-from .omega import OmegaEstimate, estimate_omega
+from .omega import OmegaEstimate, _check_tolerance, estimate_omega
 
 # Normals count as parallel when their unit vectors differ (up to sign) by
 # less than this.
@@ -101,7 +101,7 @@ class LinearSystem:
 
     def residual(self, x):
         """Row-normalized max violation: ``max_i |a_i . x - b_i| / |a_i|``."""
-        return self._residual(as_vector(x, dim=self.dim))
+        return self._residual(as_vector(x, self.dim, "x"))
 
     def _residual(self, x):
         """:meth:`residual` of a ``(d,)`` float64 point, unvalidated."""
@@ -165,14 +165,11 @@ class SolveReport(Report):
     orbit: Orbit = field(default=None, metadata=OMIT)
 
 
-def _check_tol(tol):
-    if not 0.0 < tol < np.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
-
-
 def _check_max_iter(max_iter):
+    max_iter = _integral(max_iter, "max_iter")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
+    return max_iter
 
 
 def solve(system, driver, tol, max_iter, x0=None):
@@ -190,9 +187,9 @@ def solve(system, driver, tol, max_iter, x0=None):
     estimate of the final 20% of its orbit with ``cluster_eps = max(tol,
     1e-9)``.
     """
-    _check_tol(tol)
-    _check_max_iter(max_iter)
-    x = np.zeros(system.dim) if x0 is None else as_vector(x0, dim=system.dim)
+    tol = _check_tolerance(tol, "tolerance", positive=True)
+    max_iter = _check_max_iter(max_iter)
+    x = np.zeros(system.dim) if x0 is None else as_vector(x0, system.dim, "x0")
 
     orbit = _iterate(system_to_ifs(system), x, driver, max_iter,
                      stop=lambda pts: system._first_within(pts, tol))
@@ -212,8 +209,8 @@ def solve(system, driver, tol, max_iter, x0=None):
         iterations=orbit.n_steps,
         converged=converged,
         max_norm=max_norm,
-        tol=float(tol),
-        max_iter=int(max_iter),
+        tol=tol,
+        max_iter=max_iter,
         driver=driver,
         omega=omega,
         orbit=orbit,

@@ -24,7 +24,7 @@ from .clouds import (
     nearest_distances,
     points_of,
 )
-from .drivers import DRIVER
+from .drivers import DRIVER, _integral
 from .errors import DimensionMismatchError, GeometryValidationError
 from .ifs import hutchinson
 
@@ -103,21 +103,19 @@ class OmegaEstimate(Report):
     driver: object = field(default=None, metadata=DRIVER)
 
 
-def _check_cluster_eps(cluster_eps):
-    if not 0.0 < cluster_eps < np.inf:
-        raise ValueError(f"cluster_eps must be positive and finite, got {cluster_eps!r}")
-
-
-def _check_tolerance(value, name):
-    """``value`` as a float, if it is finite and at least 0."""
-    if not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and at least 0, got {value!r}")
+def _check_tolerance(value, name, positive=False):
+    """``value`` as a float, if it is finite and at least 0, or above 0 when ``positive``."""
+    if not (0.0 < value < np.inf if positive else 0.0 <= value < np.inf):
+        rule = "positive and finite" if positive else "finite and at least 0"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
     return float(value)
 
 
 def _check_burn_in(burn_in, orbit):
+    burn_in = _integral(burn_in, "burn-in")
     if not 0 <= burn_in < len(orbit.points):
         raise ValueError(f"burn-in {burn_in} must be below the orbit length {len(orbit.points)}")
+    return burn_in
 
 
 def estimate_omega(orbit, burn_in, cluster_eps, driver=None):
@@ -126,15 +124,15 @@ def estimate_omega(orbit, burn_in, cluster_eps, driver=None):
     A tail point becomes a new representative iff it lies strictly farther
     than ``cluster_eps`` from all representatives found so far.
     """
-    _check_cluster_eps(cluster_eps)
-    _check_burn_in(burn_in, orbit)
+    cluster_eps = _check_tolerance(cluster_eps, "cluster_eps", positive=True)
+    burn_in = _check_burn_in(burn_in, orbit)
     tail = orbit.tail(burn_in)
     reps = greedy_thin(tail, cluster_eps)
     return OmegaEstimate(
         representatives=PointCloud(reps),
-        burn_in=int(burn_in),
+        burn_in=burn_in,
         tail_length=len(tail),
-        cluster_eps=float(cluster_eps),
+        cluster_eps=cluster_eps,
         x0=orbit.x0.copy(),
         driver=driver,
     )

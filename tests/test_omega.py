@@ -335,28 +335,6 @@ def test_compare_omegas_same_square_different_drivers():
     assert compare_omegas(est_a, est_b, 1e-9).passed
 
 
-def _parallel_lines_estimate():
-    return estimate_omega(run_orbit(parallel_lines_system(), [0, 0.3], Cyclic((1, 2)), 100),
-                          10, 1e-6)
-
-
-@pytest.mark.parametrize("value", [float("nan"), -1e-9, float("inf")])
-@pytest.mark.parametrize("check, name", [
-    (lambda v: check_invariance(square_system(), SQUARE_CORNERS, v), "tol"),
-    (lambda v: check_minimality(parallel_lines_system(), _parallel_lines_estimate(),
-                                PointCloud.of([0.0, 0.0]), v), "tol"),
-    (lambda v: compare_omegas(_parallel_lines_estimate(), _parallel_lines_estimate(), v),
-     "tol"),
-    (lambda v: check_monotone_distance(
-        run_orbit(square_system(), [0.3, 0.7], DisjunctiveEnumeration(4), 50),
-        SQUARE_CORNERS, base_slack=v), "base_slack"),
-], ids=["invariance", "minimality", "compare_omegas", "monotone_distance"])
-def test_check_tolerances_must_be_finite_and_nonnegative(check, name, value):
-    with pytest.raises(ValueError, match=f"^{name} must be finite and at least 0"):
-        check(value)
-    check(0.0)
-
-
 def test_orbit_stays_bounded_near_subinvariant_reference():
     rng = np.random.default_rng(30)
     sys4 = square_system()

@@ -1,28 +1,45 @@
-"""One contract for finite point sets: every entry point that takes a ``(k, d)``
-cloud raises the same error type for the same fault (``clouds.points_of``)."""
+"""One contract for caller input: every entry point that takes a ``(k, d)``
+cloud, a ``(d,)`` point or vector, a tolerance or a count raises the same
+error type for the same fault (``clouds.points_of``, ``omega._check_tolerance``
+and ``drivers._integral``)."""
 
 import numpy as np
 import pytest
 
 from ifslab import (
+    AffineMap,
+    AffineSubspace,
+    Ball,
+    Box,
     Cyclic,
     DimensionMismatchError,
     EmptyCloudError,
     GeometryValidationError,
+    Halfspace,
     Hyperplane,
     HyperplaneProjection,
     IFSystem,
+    LinearSystem,
     Orbit,
     PointCloud,
     SegmentSet,
+    apply_map,
+    check_disjunctive,
     check_invariance,
     check_minimality,
     check_monotone_distance,
+    compare_omegas,
+    composition_lipschitz_on_tree,
     estimate_omega,
+    generate,
     greedy_thin,
     hausdorff,
     hutchinson,
+    project_affine_subspace,
+    project_convex,
+    project_hyperplane,
     run_orbit,
+    solve,
 )
 from ifslab.fileio import render_svg_scatter, write_cloud_csv
 
@@ -32,6 +49,24 @@ ORBIT = run_orbit(SYSTEM, [0.0, 0.3], Cyclic((1, 2)), 20)
 ESTIMATE = estimate_omega(ORBIT, burn_in=2, cluster_eps=1e-6)
 CLOUD = PointCloud.of([0.0, 0.0], [0.0, 1.0])
 SEGMENTS = SegmentSet([[0.0, 0.0]], [[1.0, 0.0]])
+# two parallel rows: solves run to max_iter
+LINEAR = LinearSystem([[0.0, 1.0], [0.0, 1.0]], [0.0, 1.0])
+GENERATORS = {
+    "Hyperplane": Hyperplane([0, 1], 0.0),
+    "Halfspace": Halfspace([0, 1], 0.0),
+    "AffineSubspace": AffineSubspace([0.0, 0.0], [[1.0, 0.0]]),
+    "Ball": Ball([0, 0], 1.0),
+    "Box": Box([0, 0], [1, 1]),
+    "AffineMap": AffineMap(0.5 * np.eye(2), [0.0, 1.0]),
+}
+# entry -> its call on points; each takes a (d,) point or a (k, d) stack
+APPLIES = {
+    **{f"{name}.apply": g.apply for name, g in GENERATORS.items()},
+    "project_hyperplane": lambda p: project_hyperplane(p, GENERATORS["Hyperplane"]),
+    "project_affine_subspace": lambda p: project_affine_subspace(p, GENERATORS["AffineSubspace"]),
+    **{f"project_convex {name}": lambda p, body=GENERATORS[name]: project_convex(p, body)
+       for name in ("Halfspace", "Ball", "Box")},
+}
 
 # fault -> (points, error); the wrong dimension is 3 against 2-d operands.
 FAULTS = {
@@ -64,6 +99,8 @@ ENTRIES = {
     "render_svg_scatter": (lambda p, path: render_svg_scatter(path, p), set()),
     "render_svg_scatter highlights": (lambda p, path: render_svg_scatter(path, CLOUD.points, p),
                                       set()),
+    # a 1-d array is one point here
+    **{entry: (lambda p, path, call=call: call(p), {"1-d"}) for entry, call in APPLIES.items()},
 }
 
 CASES = [(entry, fault) for entry, (_, skip) in ENTRIES.items()
@@ -93,3 +130,97 @@ def test_greedy_thin_raises_on_nan_instead_of_dropping_later_points():
 def test_monotone_check_names_a_reference_of_the_wrong_dimension(reference):
     with pytest.raises(DimensionMismatchError, match="^reference: expected dimension 2, got 3$"):
         check_monotone_distance(ORBIT, reference)
+
+
+# fault -> (point, error) for a (d,) point or vector of 2-d operands.
+POINT_FAULTS = {
+    "0-d": (np.float64(1.0), GeometryValidationError),
+    "2-d": (np.zeros((1, 2)), GeometryValidationError),
+    "(0,)": (np.empty(0), GeometryValidationError),
+    "nan": (np.array([np.nan, 0.0]), GeometryValidationError),
+    "inf": (np.array([0.0, np.inf]), GeometryValidationError),
+    "-inf": (np.array([-np.inf, 0.0]), GeometryValidationError),
+    "wrong d": (np.zeros(3), DimensionMismatchError),
+}
+
+# entry -> (call on the faulty point, the name its message starts with,
+# faults that do not apply); a 2-d array is a stack for apply.
+POINT_ENTRIES = {
+    **{entry: (call, "point", {"2-d"}) for entry, call in APPLIES.items()},
+    "apply_map": (lambda x: apply_map(SYSTEM, 1, x), "x", set()),
+    "run_orbit": (lambda x: run_orbit(SYSTEM, x, Cyclic((1, 2)), 3), "x0", set()),
+    "solve": (lambda x: solve(LINEAR, Cyclic((1, 2)), 1e-9, 10, x0=x), "x0", set()),
+    "composition_lipschitz_on_tree": (
+        lambda x: composition_lipschitz_on_tree(SYSTEM, (1, 2), x, 3, 8, 1), "x0", set()),
+    "LinearSystem.residual": (lambda x: LINEAR.residual(x), "x", set()),
+}
+
+POINT_CASES = [(entry, fault) for entry, (_, _, skip) in POINT_ENTRIES.items()
+               for fault in POINT_FAULTS if fault not in skip]
+
+
+@pytest.mark.parametrize("entry,fault", POINT_CASES, ids=[f"{e}-{f}" for e, f in POINT_CASES])
+def test_every_point_entry_raises_one_error_type_per_fault_naming_the_point(entry, fault):
+    point, error = POINT_FAULTS[fault]
+    call, name, _ = POINT_ENTRIES[entry]
+    with pytest.raises(error, match=f"^{name}: "):
+        call(point)
+
+
+# entry -> (call on the tolerance, its name, whether it must be above 0)
+TOLERANCES = {
+    "estimate_omega": (lambda v: estimate_omega(ORBIT, 2, v), "cluster_eps", True),
+    "solve": (lambda v: solve(LINEAR, Cyclic((1, 2)), v, 10), "tolerance", True),
+    "check_invariance": (lambda v: check_invariance(SYSTEM, CLOUD, v), "tol", False),
+    "check_minimality": (lambda v: check_minimality(SYSTEM, ESTIMATE, CLOUD, v), "tol", False),
+    "compare_omegas": (lambda v: compare_omegas(ESTIMATE, ESTIMATE, v), "tol", False),
+    "check_monotone_distance": (lambda v: check_monotone_distance(ORBIT, CLOUD, base_slack=v),
+                                "base_slack", False),
+}
+
+TOLERANCE_CASES = [(entry, value) for entry, (_, _, positive) in TOLERANCES.items()
+                   for value in [np.nan, np.inf, -np.inf, -1e-9] + [0.0] * positive]
+
+
+@pytest.mark.parametrize("entry,value", TOLERANCE_CASES,
+                         ids=[f"{e}-{v}" for e, v in TOLERANCE_CASES])
+def test_every_tolerance_follows_one_rule(entry, value):
+    call, name, positive = TOLERANCES[entry]
+    rule = "positive and finite" if positive else "finite and at least 0"
+    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got "):
+        call(value)
+    if not positive:
+        call(0.0)
+
+
+# entry -> (call on the count, returning something to compare, its name)
+COUNTS = {
+    "run_orbit": (lambda n: run_orbit(SYSTEM, [0.0, 0.3], Cyclic((1, 2)), n).points,
+                  "step count"),
+    "solve": (lambda n: solve(LINEAR, Cyclic((1, 2)), 1e-9, n).final_point, "max_iter"),
+    "estimate_omega": (lambda n: estimate_omega(ORBIT, n, 1e-6).representatives.points,
+                       "burn-in"),
+    "composition_lipschitz_on_tree depth": (
+        lambda n: composition_lipschitz_on_tree(SYSTEM, (1, 2), [0.0, 0.3], n, 8, 1), "depth"),
+    "composition_lipschitz_on_tree samples": (
+        lambda n: composition_lipschitz_on_tree(SYSTEM, (1, 2), [0.0, 0.3], 3, n, 1), "samples"),
+    "generate": (lambda n: generate(Cyclic((1, 2)), n), "symbol count"),
+    "check_disjunctive": (lambda n: check_disjunctive([1, 2, 1], n).found, "window length"),
+}
+
+COUNT_FAULTS = {"2.5": 2.5, "True": True, "nan": np.nan, "string": "2", "None": None}
+
+COUNT_CASES = [(entry, fault) for entry in COUNTS for fault in COUNT_FAULTS]
+
+
+@pytest.mark.parametrize("entry,fault", COUNT_CASES, ids=[f"{e}-{f}" for e, f in COUNT_CASES])
+def test_every_count_is_an_integer(entry, fault):
+    call, name = COUNTS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be integral, got "):
+        call(COUNT_FAULTS[fault])
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+def test_an_integral_float_count_reads_as_its_integer(entry):
+    call, _ = COUNTS[entry]
+    assert np.array_equal(call(2.0), call(2))
