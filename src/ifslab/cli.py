@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import drivers, fileio, geometry, kaczmarz, omega, scenarios
+from . import clouds, drivers, fileio, geometry, kaczmarz, omega, scenarios
 from .errors import IfsLabError
 
 EXIT_OK = 0
@@ -49,8 +49,7 @@ def _cmd_run(args):
 
 
 def _cmd_omega(args):
-    with scenarios._at("--eps"):
-        omega._check_tolerance(args.eps, "cluster_eps", positive=True)
+    clouds.tolerance_of(args.eps, "--eps", positive=True)
     orbit = fileio.read_orbit_csv(args.orbit)
     with scenarios._at("--burn-in"):
         omega._check_burn_in(args.burn_in, orbit)
@@ -76,8 +75,8 @@ DRIVER_OPTIONS = (("--seed", "seed"), ("--perm", "permutation"),
 
 def _driver_from_args(args, n_maps):
     """The driver the options name, built by the same code as config drivers."""
-    scenarios._require(args.alphabet is None or args.alphabet >= 1, "--alphabet",
-                       f"need an integer of at least 1, got {args.alphabet}")
+    if args.alphabet is not None:
+        clouds.count_of(args.alphabet, "--alphabet", low=1)
     for option, key in DRIVER_OPTIONS:
         if getattr(args, option[2:]) is not None and key not in scenarios.DRIVER_KEYS[args.kind]:
             raise scenarios.ScenarioError(f"{option}: the {args.kind} driver does not read it")
@@ -136,10 +135,8 @@ def _cmd_driver_audit(args):
 
 
 def _cmd_kaczmarz(args):
-    with scenarios._at("--tol"):
-        omega._check_tolerance(args.tol, "tolerance", positive=True)
-    with scenarios._at("--max-iter"):
-        kaczmarz._check_max_iter(args.max_iter)
+    clouds.tolerance_of(args.tol, "--tol", positive=True)
+    clouds.count_of(args.max_iter, "--max-iter", low=1)
     system = fileio.read_linear_system_csv(args.system)
     spec = _driver_from_args(args, system.n_rows)
     with scenarios._at("--x0"):

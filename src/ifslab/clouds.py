@@ -1,5 +1,6 @@
-"""Finite point clouds, kept as given, and the greedy thinning that the
-Hutchinson operator and omega clustering apply to the clouds they produce.
+"""Finite point clouds, kept as given; the greedy thinning of them; and the
+one rule each for points, counts and tolerances that the library, the config
+and the CLI read: :func:`points_of`, :func:`count_of` and :func:`tolerance_of`.
 
 ``scipy.spatial`` is imported inside the two functions that use it,
 :func:`nearest_distances` and :func:`_conflict_graph_keep`, not here: it
@@ -13,6 +14,8 @@ a process that does pays the import once.
 from __future__ import annotations
 
 import math
+import numbers
+import reprlib
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -73,6 +76,7 @@ def greedy_thin(points, eps):
     graph instead (see :func:`_conflict_graph_keep`), unless that graph has
     more edges than vertices, in which case the scan goes on.
     """
+    eps = tolerance_of(eps, "eps", positive=True)
     # one memory layout, so that the scan and the graph reduce row norms alike
     pts = np.ascontiguousarray(points_of(points))
     distinct = np.zeros(len(pts), dtype=bool)
@@ -299,3 +303,42 @@ def points_of(cloud, dim=None, what="cloud"):
     if dim is not None and pts.shape[1] != dim:
         raise DimensionMismatchError(dim, pts.shape[1], what)
     return pts
+
+
+def _integral(values, what, ndim=0):
+    """``values`` as an int (``ndim=0``) or a list of ints (``ndim=1``). An
+    integral float such as ``2.0`` reads as an integer; ``2.5``, ``nan``, a
+    string, ``None`` or a boolean raises ``ValueError`` naming ``what``."""
+    if ndim == 0 and type(values) is int:  # of any size, as a seed may be
+        return values
+    arr = np.asarray(values)
+    if arr.dtype.kind == "f" and (np.trunc(arr) == arr).all() and (abs(arr) < 2.0**63).all():
+        arr = arr.astype(np.int64)
+    if arr.dtype.kind not in "iu" or arr.ndim != ndim:
+        raise ValueError(f"{what} must be integral, got {reprlib.repr(values)}")
+    return arr.tolist()
+
+
+def count_of(value, what, low=0):
+    """``value`` as an int of at least ``low``: the one check of a count (a
+    step count, burn-in, iteration cap, window length, alphabet size or seed).
+    ``2.0`` reads as ``2``; ``2.5``, NaN, a boolean, a string, ``None`` or a
+    value below ``low`` raises ``ValueError`` whose message starts ``what: ``."""
+    try:
+        n = _integral(value, what)
+    except ValueError:
+        n = None
+    if n is None or n < low:
+        raise ValueError(f"{what}: need an integer of at least {low}, got {reprlib.repr(value)}")
+    return n
+
+
+def tolerance_of(value, what, positive=False):
+    """``value`` as a float: the one check of a tolerance, a finite real number,
+    no boolean, at least 0, or above 0 when ``positive``. Anything else raises
+    ``ValueError`` whose message starts ``what: ``."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0.0 <= value <= float(np.finfo(float).max) and (value > 0.0 or not positive)):
+        bound = "above 0" if positive else "of at least 0"
+        raise ValueError(f"{what}: need a finite number {bound}, got {reprlib.repr(value)}")
+    return float(value)

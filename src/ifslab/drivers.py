@@ -11,28 +11,13 @@ from __future__ import annotations
 
 import contextlib
 import math
-import reprlib
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .clouds import Report
+from .clouds import Report, _integral, count_of
 from .errors import DriverExhaustedError, SymbolRangeError
-
-
-def _integral(values, what, ndim=0):
-    """``values`` as an int (``ndim=0``) or a list of ints (``ndim=1``). An
-    integral float such as ``2.0`` reads as an integer; ``2.5``, ``nan``, a
-    string, ``None`` or a boolean raises ``ValueError`` naming ``what``."""
-    if ndim == 0 and type(values) is int:  # of any size, as a seed may be
-        return values
-    arr = np.asarray(values)
-    if arr.dtype.kind == "f" and (np.trunc(arr) == arr).all() and (abs(arr) < 2.0**63).all():
-        arr = arr.astype(np.int64)
-    if arr.dtype.kind not in "iu" or arr.ndim != ndim:
-        raise ValueError(f"{what} must be integral, got {reprlib.repr(values)}")
-    return arr.tolist()
 
 
 @dataclass(frozen=True)
@@ -68,7 +53,7 @@ class IidRandom:
             raise ValueError(f"weights must be finite and strictly positive, got {w!r}")
         if abs(sum(w) - 1.0) > 1e-9:
             raise ValueError(f"weights must sum to 1, got {sum(w)!r}")
-        object.__setattr__(self, "seed", _integral(self.seed, "seed"))
+        object.__setattr__(self, "seed", count_of(self.seed, "seed"))
         object.__setattr__(self, "weights", w)
 
     @classmethod
@@ -91,8 +76,8 @@ class DisjunctiveEnumeration:
     n_symbols: int
 
     def __post_init__(self):
-        n = _integral(self.n_symbols, "alphabet size")
-        if not 1 <= n < 1 << 63:
+        n = count_of(self.n_symbols, "alphabet size", low=1)
+        if n >= 1 << 63:
             raise ValueError(f"alphabet size must lie in 1..2**63 - 1, got {n}")
         object.__setattr__(self, "n_symbols", n)
 
@@ -110,7 +95,7 @@ class Custom:
     def __post_init__(self):
         syms = tuple(_integral(self.symbols, "symbols", ndim=1))
         n = max(syms, default=1) if self.alphabet_size is None \
-            else _integral(self.alphabet_size, "alphabet size")
+            else count_of(self.alphabet_size, "alphabet size", low=1)
         check_symbols(np.asarray(syms, dtype=np.int64), n)
         object.__setattr__(self, "symbols", syms)
         object.__setattr__(self, "alphabet_size", n)
@@ -255,10 +240,7 @@ def symbol_blocks(driver, n, n_symbols, size=None):
 
 def generate(spec, n):
     """The first ``n`` symbols of the driver as an int64 array."""
-    n = _integral(n, "symbol count")
-    if n < 0:
-        raise ValueError("symbol count must be nonnegative")
-    return spec.stream().take(n)
+    return spec.stream().take(count_of(n, "symbol count"))
 
 
 @dataclass(frozen=True)
@@ -291,7 +273,7 @@ def _infer_alphabet(seq, alphabet_size):
     seq = np.asarray(seq if isinstance(seq, np.ndarray) else list(seq), dtype=np.int64)
     if alphabet_size is None and not len(seq):
         raise ValueError("alphabet size is required for an empty sequence")
-    n = int(seq.max()) if alphabet_size is None else int(alphabet_size)
+    n = int(seq.max()) if alphabet_size is None else count_of(alphabet_size, "alphabet size", 1)
     return check_symbols(seq, n), n
 
 
@@ -300,9 +282,7 @@ def check_disjunctive(seq, window_length, alphabet_size=None):
     contiguous windows. Missing words are listed in lexicographic order,
     truncated to the first 20. Windows are read as base-N integer codes, which
     run over the words in lexicographic order; the cost is O(prefix + N^m)."""
-    m = _integral(window_length, "window length")
-    if m < 1:
-        raise ValueError("window length must be at least 1")
+    m = count_of(window_length, "window length", low=1)
     seq, n = _infer_alphabet(seq, alphabet_size)
     total = n ** m
     if total > 10_000_000:
@@ -339,8 +319,8 @@ def check_repetitive(seq, alphabet_size):
 def enumeration_prefix_length(window_length, alphabet_size):
     """Prefix length after which the enumeration has emitted every word of
     length up to ``window_length``: sum of k * N^k for k <= window_length."""
-    n = int(alphabet_size)
-    return sum(k * n ** k for k in range(1, int(window_length) + 1))
+    n = count_of(alphabet_size, "alphabet size", low=1)
+    return sum(k * n ** k for k in range(1, count_of(window_length, "window length") + 1))
 
 
 def describe_driver(driver):

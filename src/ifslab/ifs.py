@@ -323,10 +323,7 @@ def run_orbit(system, x0, driver, n):
     for bit.
     """
     start = geometry.as_vector(x0, system.dim, "x0")
-    n = drivers._integral(n, "step count")
-    if n < 0:
-        raise ValueError("step count must be nonnegative")
-    return _iterate(system, start, driver, n)
+    return _iterate(system, start, driver, clouds.count_of(n, "step count"))
 
 
 def hutchinson(system, cloud):
@@ -377,12 +374,9 @@ def composition_lipschitz_on_tree(system, word, x0, depth, samples, seed):
     """
     syms = validate_word(system, word)
     start = geometry.as_vector(x0, system.dim, "x0")
-    depth = drivers._integral(depth, "depth")
-    samples = drivers._integral(samples, "samples")
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if samples < 2:
-        raise ValueError("need at least 2 sampled pairs")
+    depth = clouds.count_of(depth, "depth")
+    samples = clouds.count_of(samples, "samples", low=2)
+    seed = clouds.count_of(seed, "seed")
 
     # Deterministic sample plan first, evaluation second, so the result does
     # not depend on evaluation order.

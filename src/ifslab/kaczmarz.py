@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clouds import OMIT, Report
-from .drivers import DRIVER, _integral
+from .clouds import OMIT, Report, count_of, tolerance_of
+from .drivers import DRIVER
 from .errors import GeometryValidationError
 from .geometry import MIN_NORMAL_NORM, Hyperplane, as_vector
 from .ifs import IFSystem, Orbit, _iterate
-from .omega import OmegaEstimate, _check_tolerance, estimate_omega
+from .omega import OmegaEstimate, estimate_omega
 
 # Normals count as parallel when their unit vectors differ (up to sign) by
 # less than this.
@@ -165,13 +165,6 @@ class SolveReport(Report):
     orbit: Orbit = field(default=None, metadata=OMIT)
 
 
-def _check_max_iter(max_iter):
-    max_iter = _integral(max_iter, "max_iter")
-    if max_iter < 1:
-        raise ValueError("need at least one iteration")
-    return max_iter
-
-
 def solve(system, driver, tol, max_iter, x0=None):
     """Project onto row hyperplanes in driver order until the row-normalized
     residual drops to ``tol`` or ``max_iter`` steps have run.
@@ -187,8 +180,8 @@ def solve(system, driver, tol, max_iter, x0=None):
     estimate of the final 20% of its orbit with ``cluster_eps = max(tol,
     1e-9)``.
     """
-    tol = _check_tolerance(tol, "tolerance", positive=True)
-    max_iter = _check_max_iter(max_iter)
+    tol = tolerance_of(tol, "tolerance", positive=True)
+    max_iter = count_of(max_iter, "max_iter", low=1)
     x = np.zeros(system.dim) if x0 is None else as_vector(x0, system.dim, "x0")
 
     orbit = _iterate(system_to_ifs(system), x, driver, max_iter,

@@ -19,12 +19,14 @@ from .clouds import (
     QUERY_BLOCK,
     PointCloud,
     Report,
+    count_of,
     distinct_rows,
     greedy_thin,
     nearest_distances,
     points_of,
+    tolerance_of,
 )
-from .drivers import DRIVER, _integral
+from .drivers import DRIVER
 from .errors import DimensionMismatchError, GeometryValidationError
 from .ifs import hutchinson
 
@@ -103,17 +105,9 @@ class OmegaEstimate(Report):
     driver: object = field(default=None, metadata=DRIVER)
 
 
-def _check_tolerance(value, name, positive=False):
-    """``value`` as a float, if it is finite and at least 0, or above 0 when ``positive``."""
-    if not (0.0 < value < np.inf if positive else 0.0 <= value < np.inf):
-        rule = "positive and finite" if positive else "finite and at least 0"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-    return float(value)
-
-
 def _check_burn_in(burn_in, orbit):
-    burn_in = _integral(burn_in, "burn-in")
-    if not 0 <= burn_in < len(orbit.points):
+    burn_in = count_of(burn_in, "burn-in")
+    if burn_in >= len(orbit.points):
         raise ValueError(f"burn-in {burn_in} must be below the orbit length {len(orbit.points)}")
     return burn_in
 
@@ -124,7 +118,7 @@ def estimate_omega(orbit, burn_in, cluster_eps, driver=None):
     A tail point becomes a new representative iff it lies strictly farther
     than ``cluster_eps`` from all representatives found so far.
     """
-    cluster_eps = _check_tolerance(cluster_eps, "cluster_eps", positive=True)
+    cluster_eps = tolerance_of(cluster_eps, "cluster_eps", positive=True)
     burn_in = _check_burn_in(burn_in, orbit)
     tail = orbit.tail(burn_in)
     reps = greedy_thin(tail, cluster_eps)
@@ -169,7 +163,7 @@ class InvarianceReport(Report):
 def check_invariance(system, cloud, tol):
     """Compare ``Phi(S)`` against ``S`` by directed Hausdorff excesses; ``tol``
     must be finite and at least 0."""
-    tol = _check_tolerance(tol, "tol")
+    tol = tolerance_of(tol, "tol")
     pts = points_of(cloud)
     image = hutchinson(system, pts)
     forward = directed_hausdorff_distance(image.points, pts)
@@ -216,7 +210,7 @@ def check_monotone_distance(orbit, reference, system=None, base_slack=1e-9):
     ``SAMPLE_SPACING``, measured against ``C`` itself: a subinvariant
     continuum scores ~0. Distances are taken once per distinct orbit point.
     """
-    base_slack = _check_tolerance(base_slack, "base_slack")
+    base_slack = tolerance_of(base_slack, "base_slack")
     ref = reference if isinstance(reference, (PointCloud, SegmentSet)) \
         else PointCloud(points_of(reference, what="reference"))
     if ref.dim != orbit.dim:
@@ -271,7 +265,7 @@ def check_minimality(system, omega_estimate, candidate, tol):
     """If the candidate cloud is subinvariant and touches the omega estimate,
     every omega representative must lie within ``tol`` of the candidate;
     ``tol`` must be finite and at least 0."""
-    tol = _check_tolerance(tol, "tol")
+    tol = tolerance_of(tol, "tol")
     cand = points_of(candidate, omega_estimate.representatives.dim, "candidate")
     reps = omega_estimate.representatives.points
     inv = check_invariance(system, cand, tol)
@@ -308,7 +302,7 @@ class OmegaComparison(Report):
 def compare_omegas(estimate_a, estimate_b, tol):
     """Symmetric Hausdorff distance between two omega estimates; ``tol`` must
     be finite and at least 0."""
-    tol = _check_tolerance(tol, "tol")
+    tol = tolerance_of(tol, "tol")
     a, b = estimate_a.representatives, estimate_b.representatives
     if a.dim != b.dim:
         raise DimensionMismatchError(a.dim, b.dim, "omega estimate")

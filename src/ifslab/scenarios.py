@@ -2,20 +2,19 @@
 reproductions, and check execution.
 
 A scenario bundles a system, a driver, run parameters, an optional reference
-set, and a list of named checks. Configs are plain JSON; see the README for
-the schema.
+set, and a list of named checks. Configs are plain JSON (see the README); each
+number in one is read by ``clouds.count_of`` or ``clouds.tolerance_of``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from math import isfinite
 
 import numpy as np
 
 from . import drivers, geometry, ifs, omega
-from .clouds import OMIT, PointCloud, Report
+from .clouds import OMIT, PointCloud, Report, count_of, tolerance_of
 from .errors import IfsLabError
 
 DEFAULT_CLUSTER_EPS = 1e-6
@@ -103,19 +102,13 @@ def _kind(value, where, what, keys_by_kind):
     return kind
 
 
-def _number(d, key, where, default=None, integer=False, low=0):
-    """``d[key]``, required unless a ``default`` is given: an integral JSON
-    number as an ``int`` if ``integer``, else a finite one as a ``float``, and
-    at least ``low``. Anything else raises :class:`ScenarioError` naming the
-    key; a missing key raises ``KeyError`` for the caller's :func:`_at`."""
-    value = d[key] if default is None else d.get(key, default)
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if ok and isinstance(value, float):
-        ok = value.is_integer() if integer else isfinite(value)
-    if not (ok and value >= low):
-        kind = "an integer" if integer else "a finite number"
-        raise ScenarioError(f"{where}.{key}: need {kind} of at least {low}, got {value!r}")
-    return int(value) if integer else float(value)
+def _number(d, key, where, rule, default=None, **bound):
+    """``rule(d[key], "where.key", **bound)``, its ``ValueError`` re-raised as
+    :class:`ScenarioError`; ``d[key]`` is required unless a ``default`` is given."""
+    try:
+        return rule(d[key] if default is None else d.get(key, default), f"{where}.{key}", **bound)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 def _numbers(d, key, where, default=None):
@@ -160,7 +153,7 @@ def driver_from_dict(d, n_maps, where, alphabet=None):
     with none, drivers that need one fail. An alphabet past ``n_maps`` fails."""
     with _at(where):
         kind = _kind(d, where, "driver", DRIVER_KEYS)
-        n = _number(d, "alphabet", where, integer=True, low=1) if "alphabet" in d \
+        n = _number(d, "alphabet", where, count_of, low=1) if "alphabet" in d \
             else n_maps if alphabet is None else alphabet
 
         def size(needs):
@@ -202,8 +195,7 @@ def reference_from_dict(d, where):
         if kind == "triangle_boundary":
             vertices = np.asarray(_numbers(d, "vertices", where, TRIANGLE_VERTICES), dtype=float)
             _require(vertices.shape == (3, 2), where, "triangle_boundary needs three 2-d vertices")
-            spacing = _number(d, "spacing", where, default=5e-3)
-            _require(spacing > 0, where, "spacing must be positive")
+            spacing = _number(d, "spacing", where, tolerance_of, 5e-3, positive=True)
             segments = omega.SegmentSet(vertices, np.roll(vertices, -1, axis=0))
             return PointCloud(segments.sample_points(spacing)), segments
 
@@ -229,7 +221,7 @@ def scenario_from_dict(config):
         _require(isinstance(name, str) and name not in ("", ".", "..")
                  and not any(c in name for c in "/\\\0"), "config.name",
                  f"need a nonempty file stem without a path separator, got {name!r}")
-        dim = _number(config, "dim", "config", integer=True, low=1)
+        dim = _number(config, "dim", "config", count_of, low=1)
 
         raw_maps = config["maps"]
         _require(isinstance(raw_maps, list) and raw_maps, "config.maps", "need at least one map")
@@ -243,12 +235,12 @@ def scenario_from_dict(config):
         with _at("config.x0"):
             x0 = geometry.as_vector(x0, dim=dim)
 
-        steps = _number(config, "steps", "config", integer=True, low=1)
+        steps = _number(config, "steps", "config", count_of, low=1)
         _lasting(driver, steps, "config.driver")
-        burn_in = _number(config, "burn_in", "config", default=steps // 10, integer=True)
+        burn_in = _number(config, "burn_in", "config", count_of, steps // 10)
         _require(burn_in <= steps, "config.burn_in", "burn-in must lie within the run")
-        cluster_eps = _number(config, "cluster_eps", "config", default=DEFAULT_CLUSTER_EPS)
-        _require(cluster_eps > 0, "config.cluster_eps", "cluster_eps must be positive")
+        cluster_eps = _number(config, "cluster_eps", "config", tolerance_of, DEFAULT_CLUSTER_EPS,
+                              positive=True)
 
         reference_cloud = reference_exact = None
         if "reference_set" in config:
@@ -266,9 +258,9 @@ def scenario_from_dict(config):
             kind = _kind(c, where, "check", CHECK_KEYS)
             norm = {"kind": kind}
             if kind in ("invariance", "superinvariance", "matches_reference", "compare_omegas"):
-                norm["tol"] = _number(c, "tol", where)
+                norm["tol"] = _number(c, "tol", where, tolerance_of)
             if kind == "monotone_distance":
-                norm["slack"] = _number(c, "slack", where, default=1e-9)
+                norm["slack"] = _number(c, "slack", where, tolerance_of, 1e-9)
             if kind in ("monotone_distance", "matches_reference"):
                 _require(reference_cloud is not None, where,
                          f"{kind} needs a reference_set in the config")

@@ -56,21 +56,21 @@ def test_cyclic_rejects_non_permutation():
         Cyclic((1, 1, 2))
 
 
-@pytest.mark.parametrize("build", [
-    lambda: Cyclic((1.5, 2)),
-    lambda: Cyclic(("1", 2)),
-    lambda: Cyclic(None),
-    lambda: Custom((1.9, 2)),
-    lambda: Custom((1, 2), alphabet_size=2.5),
-    lambda: IidRandom(3.7, (1.0,)),
-    lambda: IidRandom(float("nan"), (1.0,)),
-    lambda: IidRandom(None, (1.0,)),
-    lambda: DisjunctiveEnumeration(2.9),
-    lambda: DisjunctiveEnumeration(True),
+@pytest.mark.parametrize("build, message", [
+    (lambda: Cyclic((1.5, 2)), "permutation must be integral"),
+    (lambda: Cyclic(("1", 2)), "permutation must be integral"),
+    (lambda: Cyclic(None), "permutation must be integral"),
+    (lambda: Custom((1.9, 2)), "symbols must be integral"),
+    (lambda: Custom((1, 2), alphabet_size=2.5), "alphabet size: need an integer of at least 1"),
+    (lambda: IidRandom(3.7, (1.0,)), "seed: need an integer of at least 0"),
+    (lambda: IidRandom(float("nan"), (1.0,)), "seed: need an integer of at least 0"),
+    (lambda: IidRandom(None, (1.0,)), "seed: need an integer of at least 0"),
+    (lambda: DisjunctiveEnumeration(2.9), "alphabet size: need an integer of at least 1"),
+    (lambda: DisjunctiveEnumeration(True), "alphabet size: need an integer of at least 1"),
 ], ids=["cyclic", "cyclic-str", "cyclic-none", "custom", "custom-alphabet", "iid-seed",
         "iid-nan-seed", "iid-none-seed", "enumeration", "enumeration-bool"])
-def test_driver_integers_reject_non_integral_values(build):
-    with pytest.raises(ValueError, match="must be integral"):
+def test_driver_integers_reject_non_integral_values(build, message):
+    with pytest.raises(ValueError, match=message):
         build()
 
 

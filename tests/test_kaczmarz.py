@@ -235,10 +235,10 @@ def test_gap_between_rejects_a_row_outside_the_system(rows):
 
 
 @pytest.mark.parametrize("tol, max_iter, message", [
-    (0.0, 10, "tolerance must be positive"),
-    (-1.0, 10, "tolerance must be positive"),
-    (float("nan"), 10, "tolerance must be positive"),
-    (1e-9, 0, "at least one iteration"),
+    (0.0, 10, "tolerance: need a finite number above 0"),
+    (-1.0, 10, "tolerance: need a finite number above 0"),
+    (float("nan"), 10, "tolerance: need a finite number above 0"),
+    (1e-9, 0, "max_iter: need an integer of at least 1"),
 ], ids=["tol-zero", "tol-negative", "tol-nan", "max-iter-zero"])
 def test_solve_validates_tol_and_max_iter(tol, max_iter, message):
     with pytest.raises(ValueError, match=message):

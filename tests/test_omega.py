@@ -82,7 +82,7 @@ def test_estimate_validates_inputs():
         estimate_omega(orbit, burn_in=11, cluster_eps=1e-6)
     with pytest.raises(ValueError):
         estimate_omega(orbit, burn_in=2, cluster_eps=0.0)
-    with pytest.raises(ValueError, match="cluster_eps must be positive"):
+    with pytest.raises(ValueError, match="cluster_eps: need a finite number above 0"):
         estimate_omega(orbit, burn_in=2, cluster_eps=float("nan"))
 
 

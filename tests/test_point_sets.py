@@ -1,7 +1,8 @@
 """One contract for caller input: every entry point that takes a ``(k, d)``
 cloud, a ``(d,)`` point or vector, a tolerance or a count raises the same
-error type for the same fault (``clouds.points_of``, ``omega._check_tolerance``
-and ``drivers._integral``)."""
+error type for the same fault (``clouds.points_of``, ``clouds.tolerance_of``
+and ``clouds.count_of``), and a config number the same message as the
+library argument behind it."""
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from ifslab import (
     Hyperplane,
     HyperplaneProjection,
     IFSystem,
+    IidRandom,
     LinearSystem,
     Orbit,
     PointCloud,
@@ -30,6 +32,7 @@ from ifslab import (
     check_monotone_distance,
     compare_omegas,
     composition_lipschitz_on_tree,
+    enumeration_prefix_length,
     estimate_omega,
     generate,
     greedy_thin,
@@ -42,6 +45,7 @@ from ifslab import (
     solve,
 )
 from ifslab.fileio import render_svg_scatter, write_cloud_csv
+from ifslab.scenarios import ScenarioError, preset_config, scenario_from_dict
 
 SYSTEM = IFSystem((HyperplaneProjection(Hyperplane([0, 1], 0.0)),
                    HyperplaneProjection(Hyperplane([0, 1], 1.0))), 2)
@@ -176,51 +180,90 @@ TOLERANCES = {
     "compare_omegas": (lambda v: compare_omegas(ESTIMATE, ESTIMATE, v), "tol", False),
     "check_monotone_distance": (lambda v: check_monotone_distance(ORBIT, CLOUD, base_slack=v),
                                 "base_slack", False),
+    "greedy_thin": (lambda v: greedy_thin([[0, 0], [0.5, 0], [3, 0]], v), "eps", True),
 }
 
 TOLERANCE_CASES = [(entry, value) for entry, (_, _, positive) in TOLERANCES.items()
-                   for value in [np.nan, np.inf, -np.inf, -1e-9] + [0.0] * positive]
+                   for value in [np.nan, np.inf, -np.inf, -1e-9, True, "1e-6", None]
+                   + [0.0] * positive]
 
 
 @pytest.mark.parametrize("entry,value", TOLERANCE_CASES,
                          ids=[f"{e}-{v}" for e, v in TOLERANCE_CASES])
 def test_every_tolerance_follows_one_rule(entry, value):
     call, name, positive = TOLERANCES[entry]
-    rule = "positive and finite" if positive else "finite and at least 0"
-    with pytest.raises(ValueError, match=f"^{name} must be {rule}, got "):
+    bound = "above 0" if positive else "of at least 0"
+    with pytest.raises(ValueError, match=f"^{name}: need a finite number {bound}, got "):
         call(value)
     if not positive:
         call(0.0)
 
 
-# entry -> (call on the count, returning something to compare, its name)
+# entry -> (call on the count, returning something to compare, its name, its
+# least value)
 COUNTS = {
     "run_orbit": (lambda n: run_orbit(SYSTEM, [0.0, 0.3], Cyclic((1, 2)), n).points,
-                  "step count"),
-    "solve": (lambda n: solve(LINEAR, Cyclic((1, 2)), 1e-9, n).final_point, "max_iter"),
+                  "step count", 0),
+    "solve": (lambda n: solve(LINEAR, Cyclic((1, 2)), 1e-9, n).final_point, "max_iter", 1),
     "estimate_omega": (lambda n: estimate_omega(ORBIT, n, 1e-6).representatives.points,
-                       "burn-in"),
+                       "burn-in", 0),
     "composition_lipschitz_on_tree depth": (
-        lambda n: composition_lipschitz_on_tree(SYSTEM, (1, 2), [0.0, 0.3], n, 8, 1), "depth"),
+        lambda n: composition_lipschitz_on_tree(SYSTEM, (1, 2), [0.0, 0.3], n, 8, 1), "depth", 0),
     "composition_lipschitz_on_tree samples": (
-        lambda n: composition_lipschitz_on_tree(SYSTEM, (1, 2), [0.0, 0.3], 3, n, 1), "samples"),
-    "generate": (lambda n: generate(Cyclic((1, 2)), n), "symbol count"),
-    "check_disjunctive": (lambda n: check_disjunctive([1, 2, 1], n).found, "window length"),
+        lambda n: composition_lipschitz_on_tree(SYSTEM, (1, 2), [0.0, 0.3], 3, n, 1),
+        "samples", 2),
+    "composition_lipschitz_on_tree seed": (
+        lambda n: composition_lipschitz_on_tree(SYSTEM, (1, 2), [0.0, 0.3], 3, 8, n), "seed", 0),
+    "IidRandom seed": (lambda n: generate(IidRandom(n, (0.5, 0.5)), 8), "seed", 0),
+    "generate": (lambda n: generate(Cyclic((1, 2)), n), "symbol count", 0),
+    "check_disjunctive": (lambda n: check_disjunctive([1, 2, 1], n).found, "window length", 1),
+    "enumeration_prefix_length window": (lambda n: enumeration_prefix_length(n, 2),
+                                         "window length", 0),
+    "enumeration_prefix_length alphabet": (lambda n: enumeration_prefix_length(2, n),
+                                           "alphabet size", 1),
 }
 
-COUNT_FAULTS = {"2.5": 2.5, "True": True, "nan": np.nan, "string": "2", "None": None}
+COUNT_FAULTS = {"2.5": 2.5, "True": True, "nan": np.nan, "string": "2", "None": None,
+                "below-low": None}
 
 COUNT_CASES = [(entry, fault) for entry in COUNTS for fault in COUNT_FAULTS]
 
 
 @pytest.mark.parametrize("entry,fault", COUNT_CASES, ids=[f"{e}-{f}" for e, f in COUNT_CASES])
 def test_every_count_is_an_integer(entry, fault):
-    call, name = COUNTS[entry]
-    with pytest.raises(ValueError, match=f"^{name} must be integral, got "):
-        call(COUNT_FAULTS[fault])
+    call, name, low = COUNTS[entry]
+    value = low - 1 if fault == "below-low" else COUNT_FAULTS[fault]
+    with pytest.raises(ValueError, match=f"^{name}: need an integer of at least {low}, got "):
+        call(value)
 
 
 @pytest.mark.parametrize("entry", COUNTS)
 def test_an_integral_float_count_reads_as_its_integer(entry):
-    call, _ = COUNTS[entry]
+    call, _, _ = COUNTS[entry]
     assert np.array_equal(call(2.0), call(2))
+
+
+# config key -> (call on the library argument behind it, faults of both)
+PARITY = {
+    "steps": (lambda v: run_orbit(SYSTEM, [0.0, 0.3], Cyclic((1, 2)), v),
+              [2.5, -1, True, "60", None, np.nan]),
+    "burn_in": (lambda v: estimate_omega(ORBIT, v, 1e-6), [2.5, -1, True, "2", None, np.nan]),
+    "cluster_eps": (lambda v: estimate_omega(ORBIT, 2, v),
+                    [0, -1, True, "1e-6", None, np.nan, np.inf]),
+}
+
+PARITY_CASES = [(key, value) for key, (_, faults) in PARITY.items() for value in faults]
+
+
+@pytest.mark.parametrize("key,value", PARITY_CASES, ids=[f"{k}-{v}" for k, v in PARITY_CASES])
+def test_a_config_number_gets_the_message_of_its_library_argument(key, value):
+    config = preset_config("example2_parallel")
+    config[key] = value
+    with pytest.raises(ScenarioError) as from_config:
+        scenario_from_dict(config)
+    with pytest.raises(ValueError) as from_library:
+        PARITY[key][0](value)
+    rule = str(from_library.value).split(": ", 1)[1]
+    if key == "steps":  # a scenario runs at least one step, run_orbit 0 or more
+        rule = rule.replace("at least 0", "at least 1")
+    assert str(from_config.value) == f"config.{key}: {rule}"

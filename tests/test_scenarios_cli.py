@@ -100,6 +100,10 @@ def test_scenario_failing_check():
     ({"burn_in": -1}, "config.burn_in: need an integer of at least 0"),
     ({"cluster_eps": None}, "config.cluster_eps: need a finite number"),
     ({"cluster_eps": float("nan")}, "config.cluster_eps: need a finite number"),
+    ({"cluster_eps": True}, "config.cluster_eps: need a finite number above 0, got True"),
+    ({"cluster_eps": 10**400}, "config.cluster_eps: need a finite number above 0, got 1000"),
+    ({"driver": {"kind": "iid", "seed": -1}},
+     "config.driver: seed: need an integer of at least 0, got -1"),
     ({"checks": [{"kind": "invariance", "tol": None}]}, "config.checks[0].tol: need a finite"),
     ({"checks": [{"kind": "invariance", "tol": float("nan")}]}, "config.checks[0].tol: need"),
     ({"checks": [{"kind": "invariance", "tol": -1e-9}]}, "config.checks[0].tol: need"),
@@ -339,13 +343,13 @@ def test_cli_rejects_nan_tolerances(tmp_path, capsys):
     sys_csv = tmp_path / "sys.csv"
     sys_csv.write_text("1,0,1\n0,1,2\n")
     assert main(["kaczmarz", str(sys_csv), "--tol", "nan"]) == 2
-    assert "tolerance must be positive" in capsys.readouterr().err
+    assert "--tol: need a finite number above 0, got nan" in capsys.readouterr().err
     orbit_csv = tmp_path / "orbit.csv"
     orbit_csv.write_text(ORBIT_HEAD + "1,1,0.5,0.25\n")
     out = tmp_path / "omega.json"
     assert main(["omega", str(orbit_csv), "--burn-in", "0", "--eps", "nan",
                  "--out", str(out)]) == 2
-    assert "cluster_eps must be positive" in capsys.readouterr().err
+    assert "--eps: need a finite number above 0, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -355,14 +359,14 @@ def test_cli_rejects_infinite_tolerances(tmp_path, capsys):
     out = tmp_path / "solve.json"
     assert main(["kaczmarz", str(sys_csv), "--tol", "inf", "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "tolerance must be positive" in captured.err
+    assert captured.out == "" and "--tol: need a finite number above 0, got inf" in captured.err
     assert not out.exists()
     orbit_csv = tmp_path / "orbit.csv"
     orbit_csv.write_text(ORBIT_HEAD + "1,1,0.5,0.25\n")
     out = tmp_path / "omega.json"
     assert main(["omega", str(orbit_csv), "--burn-in", "0", "--eps", "inf",
                  "--out", str(out)]) == 2
-    assert "cluster_eps must be positive" in capsys.readouterr().err
+    assert "--eps: need a finite number above 0, got inf" in capsys.readouterr().err
     assert not out.exists()
 
 
