@@ -38,7 +38,8 @@ def _cmd_run(args):
     if scenario.system.dim == 2 and not args.no_svg:
         fileio.render_svg_scatter(out_dir / f"{stem}.svg",
                                   result.orbit.tail(scenario.burn_in),
-                                  result.estimate.representatives.points)
+                                  result.estimate.representatives.points,
+                                  _distinct=result.orbit.distinct_rows(scenario.burn_in))
 
     for check in result.checks:
         status = "pass" if check["passed"] else "FAIL"
@@ -52,7 +53,7 @@ def _cmd_omega(args):
     clouds.tolerance_of(args.eps, "--eps", positive=True)
     orbit = fileio.read_orbit_csv(args.orbit)
     with scenarios._at("--burn-in"):
-        omega._check_burn_in(args.burn_in, orbit)
+        orbit.check_burn_in(args.burn_in)
     estimate = omega.estimate_omega(orbit, burn_in=args.burn_in, cluster_eps=args.eps)
     payload = estimate.to_dict()
     if args.out:

@@ -2,8 +2,10 @@
 minimal SVG scatter for 2-d runs.
 
 Floats are written with ``repr`` so every file round-trips bit for bit.
-Writers check their input before they open the file, then stream it one
-line per row, formatting each distinct point once. Readers take a file of
+Writers check their input before they open the file. They format each
+distinct point, symbol or circle once, as NUL-padded bytes, and assemble
+the rows from those with numpy, a bounded block at a time (see
+:func:`_write_rows`). Readers take a file of
 plain rows, as the writers write them, through numpy's C reader; any other
 file takes a line loop that parses each distinct coordinate text once and
 checks it to be finite as it parses it, so the earliest bad line is the one
@@ -28,27 +30,71 @@ from .kaczmarz import LinearSystem, _RowError
 SVG_SIZE = 800
 SVG_MARGIN_FRAC = 0.05
 
+# Bytes of rows that the writers assemble at a time.
+WRITE_BLOCK_BYTES = 1 << 16
+
 
 def write_orbit_csv(path, orbit):
     """Header ``n,symbol,x1,...,xd``; row 0 carries an empty symbol."""
-    texts, inverse = _distinct_texts(orbit.points)
-    symbols = [""] + orbit.symbols.tolist()
-    with open(path, "w") as f:
-        f.write("n,symbol," + ",".join(f"x{j + 1}" for j in range(orbit.dim)) + "\n")
-        f.writelines(f"{k},{s},{texts[j]}\n" for k, (s, j) in enumerate(zip(symbols, inverse)))
+    first, inverse = orbit.distinct_rows()
+    points = _texts(_point_text(row) for row in orbit.points[first].tolist())
+    symbols, ids = np.unique(orbit.symbols, return_inverse=True)
+    with open(path, "wb") as f:
+        f.write(("n,symbol," + ",".join(f"x{j + 1}" for j in range(orbit.dim)) + "\n"
+                 "0,," + _point_text(orbit.points[0].tolist())).encode())
+        if orbit.n_steps:
+            _write_rows(f, [(_texts(f",{s}," for s in symbols.tolist()), ids),
+                            (points, inverse[1:])], 1)
 
 
-def _distinct_texts(points):
-    """The ``repr`` text of each distinct row of ``points``, and the index of
-    every row's text, as a list."""
-    first, inverse = distinct_rows(points)
-    return [",".join(map(repr, row)) for row in points[first].tolist()], inverse.tolist()
+def _point_text(row):
+    return ",".join(map(repr, row)) + "\n"
+
+
+def _texts(strings):
+    """ASCII strings as the rows of a ``(k, width)`` uint8 array, each padded
+    with NUL bytes to the longest."""
+    arr = np.array([s.encode() for s in strings], dtype=bytes)
+    return arr.view(np.uint8).reshape(len(arr), arr.itemsize)
+
+
+def _write_rows(f, columns, numbers_from=None):
+    """Write rows to the binary file ``f``. Row ``r`` is the decimal number
+    ``numbers_from + r``, if that is given, followed by ``texts[ids[r]]`` of
+    each ``(texts, ids)`` column, whose ``texts`` come from :func:`_texts`.
+
+    Each block of rows, of about WRITE_BLOCK_BYTES, is assembled in one uint8
+    array, a row of fixed width: the number's digits, right-aligned, then
+    each column's text, gathered by its ids. Dropping every NUL byte of the
+    array leaves the rows, one after another.
+    """
+    n = len(columns[0][1])
+    digits = len(str(numbers_from + n - 1)) if numbers_from is not None else 0
+    width = digits + sum(texts.shape[1] for texts, _ in columns)
+    step = max(1, WRITE_BLOCK_BYTES // width)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        block = np.empty((stop - start, width), dtype=np.uint8)
+        if digits:
+            number = np.arange(numbers_from + start, numbers_from + stop)
+            for j in range(digits):
+                place = 10 ** (digits - 1 - j)
+                block[:, j] = number // place % 10 + ord("0")
+                if place > 1:
+                    block[number < place, j] = 0
+        at = digits
+        for texts, ids in columns:
+            block[:, at:at + texts.shape[1]] = texts[ids[start:stop]]
+            at += texts.shape[1]
+        flat = block.reshape(-1)
+        f.write(flat[flat != 0])
 
 
 def read_orbit_csv(path):
     points, symbols, _ = _read_rows(path, orbit=True)
     if not len(points):
         raise EmptyCloudError(f"{path}: no orbit rows")
+    points.flags.writeable = False  # nothing else holds them: no copy for the orbit
     return Orbit(points, np.asarray(symbols, dtype=np.int64))
 
 
@@ -188,9 +234,11 @@ def _line_rows(path, orbit):
 
 def write_cloud_csv(path, cloud):
     """One point per row, no header."""
-    texts, inverse = _distinct_texts(points_of(cloud))
-    with open(path, "w") as f:
-        f.writelines(texts[j] + "\n" for j in inverse)
+    points = points_of(cloud)
+    first, inverse = distinct_rows(points)
+    texts = _texts(_point_text(row) for row in points[first].tolist())
+    with open(path, "wb") as f:
+        _write_rows(f, [(texts, inverse)])
 
 
 def read_cloud_csv(path):
@@ -219,11 +267,13 @@ def write_json(path, payload):
     Path(path).write_text(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def render_svg_scatter(path, points, highlights=None):
+def render_svg_scatter(path, points, highlights=None, _distinct=None):
     """Static 2-d scatter: orbit points in gray, highlight points in red.
 
     Fixed ``SVG_SIZE x SVG_SIZE`` viewport, autoscaled with a
-    ``SVG_MARGIN_FRAC`` margin; the vertical axis points up.
+    ``SVG_MARGIN_FRAC`` margin; the vertical axis points up. ``_distinct``,
+    for callers inside the lab, is ``clouds.distinct_rows(points)`` as an
+    orbit keeps it (:meth:`Orbit.distinct_rows`).
     """
     pts = points_of(points, 2, "SVG points")
     hi = points_of(highlights, 2, "SVG highlights") if highlights is not None else np.empty((0, 2))
@@ -247,14 +297,13 @@ def render_svg_scatter(path, points, highlights=None):
         return px.tolist()
 
     # one circle per distinct point, written once for each of its rows
-    first, inverse = distinct_rows(pts)
-    circles = [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="#888888" '
-               f'fill-opacity="0.6"/>\n' for x, y in pixels(pts[first])]
-    with open(path, "w") as f:
+    first, inverse = distinct_rows(pts) if _distinct is None else _distinct
+    circles = _texts(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.5" fill="#888888" '
+                     f'fill-opacity="0.6"/>\n' for x, y in pixels(pts[first]))
+    with open(path, "wb") as f:
         f.write(f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" '
                 f'height="{SVG_SIZE}" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">\n'
-                f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n')
-        f.writelines(circles[j] for j in inverse.tolist())
-        f.writelines(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#cc2222"/>\n'
-                     for x, y in pixels(hi))
-        f.write("</svg>\n")
+                f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>\n'.encode())
+        _write_rows(f, [(circles, inverse)])
+        f.write("".join(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="4" fill="#cc2222"/>\n'
+                        for x, y in pixels(hi)).encode() + b"</svg>\n")

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import clouds, drivers, geometry
-from .errors import DegenerateTreeError, DimensionMismatchError, GeometryValidationError
+from .errors import (
+    DegenerateTreeError,
+    DimensionMismatchError,
+    GeometryValidationError,
+    SymbolRangeError,
+)
 
 # Affine generators may exceed spectral norm 1 by at most this much, absorbing
 # rounding in user-supplied matrices.
@@ -125,7 +130,14 @@ class IFSystem:
 @dataclass(frozen=True, eq=False)
 class Orbit:
     """Points ``x_0 .. x_n`` together with the driving symbols ``i_1 .. i_n``
-    that produced them (``points[k+1] = f_{symbols[k]}(points[k])``)."""
+    that produced them (``points[k+1] = f_{symbols[k]}(points[k])``).
+
+    The points are read-only: a read-only array that owns its data is kept
+    as it is, as the lab's own orbits are; any other, a view or a memmap
+    among them, is copied first, so the caller cannot write to it. So the
+    grouping of its rows that the orbit keeps (see :meth:`distinct_rows`)
+    cannot go stale.
+    """
 
     points: np.ndarray
     symbols: np.ndarray
@@ -135,8 +147,13 @@ class Orbit:
         syms = np.asarray(self.symbols, dtype=np.int64)
         if syms.ndim != 1 or len(syms) != len(pts) - 1:
             raise GeometryValidationError("orbit needs exactly one symbol per step")
+        if pts.flags.writeable or not pts.flags.owndata:
+            pts = pts.copy()
+            pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "symbols", syms)
+        # (start, first, inverse): clouds.distinct_rows of points[start:]
+        object.__setattr__(self, "_grouping", None)
 
     @property
     def n_steps(self):
@@ -153,6 +170,58 @@ class Orbit:
     def tail(self, burn_in):
         return self.points[burn_in:]
 
+    def check_burn_in(self, burn_in):
+        """``burn_in`` as an int, a count below the orbit length, or
+        ``ValueError``."""
+        burn_in = clouds.count_of(burn_in, "burn-in")
+        if burn_in >= len(self.points):
+            raise ValueError(f"burn-in {burn_in} must be below the orbit length {len(self.points)}")
+        return burn_in
+
+    def distinct_rows(self, burn_in=0):
+        """:func:`clouds.distinct_rows` of ``tail(burn_in)``, for ``0 <=
+        burn_in < len(points)`` (see :meth:`check_burn_in`), grouping each
+        row of the orbit at most once.
+
+        The orbit keeps one grouping, of the tail from the least burn-in asked
+        for so far. A later tail is read off it: its first occurrences are the
+        least positions of its distinct rows in the kept inverse. A longer
+        tail groups only the rows before the kept tail, together with one row
+        per distinct point of it, and is kept instead. So an orbit asked only
+        for one tail, as an omega estimate asks, never groups its burn-in.
+        """
+        burn_in = self.check_burn_in(burn_in)
+        if self._grouping is None or burn_in < self._grouping[0]:
+            first, inverse = self._group(burn_in)
+            first.flags.writeable = inverse.flags.writeable = False  # handed out as kept
+            object.__setattr__(self, "_grouping", (burn_in, first, inverse))
+        start, first, inverse = self._grouping
+        if burn_in == start:
+            return first, inverse
+        ids = inverse[burn_in - start:]
+        least = np.full(len(first), len(ids))
+        np.minimum.at(least, ids, np.arange(len(ids)))
+        present = np.flatnonzero(least < len(ids))
+        order = present[np.argsort(least[present])]
+        rank = np.empty(len(first), dtype=inverse.dtype)
+        rank[order] = np.arange(len(order))
+        return least[order], rank[ids]
+
+    def _group(self, burn_in):
+        """:func:`clouds.distinct_rows` of ``tail(burn_in)``, for a tail
+        longer than any kept grouping's: from the kept grouping and the rows
+        before its tail, if there is one."""
+        if self._grouping is None:
+            return clouds.distinct_rows(self.points[burn_in:])
+        start, first, inverse = self._grouping
+        head = start - burn_in
+        both, ids = clouds.distinct_rows(
+            np.concatenate([self.points[burn_in:start], self.points[start:][first]]))
+        # the rows grouped come in orbit order, so their firsts stay ascending
+        later = both >= head
+        both[later] = first[both[later] - head] + head
+        return both, np.concatenate([ids[:head], ids[head:][inverse]])
+
 
 def symbols_from(driver, n, n_symbols):
     """The first ``n`` symbols of a driver (see :func:`drivers.symbol_blocks`)
@@ -161,9 +230,19 @@ def symbols_from(driver, n, n_symbols):
     return blocks[0] if blocks else np.empty(0, dtype=np.int64)
 
 
+def _symbol(system, symbol, what):
+    """``symbol`` as the int of one of the system's maps: integral as
+    :func:`clouds._integral` reads it, and in ``1..n_maps``, or
+    :class:`SymbolRangeError`."""
+    symbol = clouds._integral(symbol, what)
+    if not 1 <= symbol <= system.n_maps:
+        raise SymbolRangeError(symbol, system.n_maps)
+    return symbol
+
+
 def apply_map(system, symbol, x):
     """One step ``f_symbol(x)`` of the system."""
-    drivers.check_symbols(np.array([symbol], dtype=np.int64), system.n_maps)
+    symbol = _symbol(system, symbol, "symbol")
     return system.maps[symbol - 1].apply(geometry.as_vector(x, system.dim, "x"))
 
 
@@ -311,6 +390,7 @@ def _used(pts, syms, k):
     second copy is made."""
     pts.resize((k + 1, pts.shape[1]), refcheck=False)
     syms.resize(k, refcheck=False)
+    pts.flags.writeable = False  # final, so the orbit keeps it without a copy
     return Orbit(pts, syms)
 
 
@@ -339,11 +419,12 @@ def hutchinson(system, cloud):
 
 
 def validate_word(system, word):
-    """The word as an int64 array, checked to be nonempty and in range."""
-    syms = np.array([int(u) for u in word], dtype=np.int64)
-    if not len(syms):
+    """The word as an int64 array, checked to be nonempty, with each symbol
+    read as :func:`apply_map` reads one."""
+    syms = [_symbol(system, u, "composition word") for u in word]
+    if not syms:
         raise ValueError("composition word must be nonempty")
-    return drivers.check_symbols(syms, system.n_maps)
+    return np.array(syms, dtype=np.int64)
 
 
 def composition_lipschitz_exact(system, word):

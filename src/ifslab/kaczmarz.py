@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clouds import OMIT, Report, count_of, tolerance_of
+from .clouds import OMIT, Report, _integral, count_of, tolerance_of
 from .drivers import DRIVER
 from .errors import GeometryValidationError
 from .geometry import MIN_NORMAL_NORM, Hyperplane, as_vector
@@ -90,14 +90,17 @@ class LinearSystem:
         return len(self.coefficients)
 
     def _index(self, row):
-        """The 0-based index of the 1-based ``row``."""
+        """The 0-based index of the 1-based ``row``, which must be integral
+        as :func:`clouds._integral` reads it."""
+        row = _integral(row, "row")
         if not 1 <= row <= self.n_rows:
             raise GeometryValidationError(f"row {row} outside 1..{self.n_rows}")
         return row - 1
 
     def row_hyperplane(self, row):
         """Hyperplane of the 1-based row index."""
-        return Hyperplane(self.coefficients[self._index(row)], self.rhs[row - 1])
+        i = self._index(row)
+        return Hyperplane(self.coefficients[i], self.rhs[i])
 
     def residual(self, x):
         """Row-normalized max violation: ``max_i |a_i . x - b_i| / |a_i|``."""

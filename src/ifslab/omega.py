@@ -20,7 +20,6 @@ from .clouds import (
     PointCloud,
     Report,
     count_of,
-    distinct_rows,
     greedy_thin,
     nearest_distances,
     points_of,
@@ -79,7 +78,8 @@ class SegmentSet:
     def sample_points(self, spacing=SAMPLE_SPACING):
         """Even sampling of every segment at the given spacing, endpoints
         included, segment by segment: a vertex shared by two segments appears
-        twice."""
+        twice. ``spacing`` must be finite and above 0."""
+        spacing = tolerance_of(spacing, "spacing", positive=True)
         pts = []
         for a, b in zip(self.starts, self.ends):
             length = float(np.linalg.norm(b - a))
@@ -105,23 +105,18 @@ class OmegaEstimate(Report):
     driver: object = field(default=None, metadata=DRIVER)
 
 
-def _check_burn_in(burn_in, orbit):
-    burn_in = count_of(burn_in, "burn-in")
-    if burn_in >= len(orbit.points):
-        raise ValueError(f"burn-in {burn_in} must be below the orbit length {len(orbit.points)}")
-    return burn_in
-
-
 def estimate_omega(orbit, burn_in, cluster_eps, driver=None):
     """Greedy clustering of the orbit tail in arrival order.
 
     A tail point becomes a new representative iff it lies strictly farther
-    than ``cluster_eps`` from all representatives found so far.
+    than ``cluster_eps`` from all representatives found so far. The tail's
+    distinct rows come from :meth:`Orbit.distinct_rows`, so an orbit that
+    has grouped its rows already is not grouped again.
     """
     cluster_eps = tolerance_of(cluster_eps, "cluster_eps", positive=True)
-    burn_in = _check_burn_in(burn_in, orbit)
+    burn_in = orbit.check_burn_in(burn_in)
     tail = orbit.tail(burn_in)
-    reps = greedy_thin(tail, cluster_eps)
+    reps = greedy_thin(tail, cluster_eps, _first=orbit.distinct_rows(burn_in)[0])
     return OmegaEstimate(
         representatives=PointCloud(reps),
         burn_in=burn_in,
@@ -208,14 +203,15 @@ def check_monotone_distance(orbit, reference, system=None, base_slack=1e-9):
     monotonicity. Its excess is ``sup d(y, C)`` over the images ``y =
     f_i(p)`` of the cloud's points, or of a SegmentSet sampled at
     ``SAMPLE_SPACING``, measured against ``C`` itself: a subinvariant
-    continuum scores ~0. Distances are taken once per distinct orbit point.
+    continuum scores ~0. Distances are taken once per distinct orbit point,
+    as :meth:`Orbit.distinct_rows` groups them.
     """
     base_slack = tolerance_of(base_slack, "base_slack")
     ref = reference if isinstance(reference, (PointCloud, SegmentSet)) \
         else PointCloud(points_of(reference, what="reference"))
     if ref.dim != orbit.dim:
         raise DimensionMismatchError(orbit.dim, ref.dim, "reference")
-    first, inverse = distinct_rows(orbit.points)
+    first, inverse = orbit.distinct_rows()
     dists = ref.distance_to(orbit.points[first])[inverse]
     d0 = float(dists[0])
     slack = base_slack * (1.0 + d0)

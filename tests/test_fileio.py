@@ -101,11 +101,25 @@ def point_sets(draw, dim=None, max_rows=40):
                     dtype=np.float64).reshape(rows, dim)
 
 
+INT64 = st.integers(-2**63, 2**63 - 1)
+
+
+@st.composite
+def symbol_lists(draw, size):
+    """``size`` int64 symbols: any int64 values, the extremes among them, or
+    values a few apart, many of them repeated, anywhere from the bottom to
+    the top of int64."""
+    wide = st.one_of(st.sampled_from([-2**63, 2**63 - 1, -1, 0, 1]), INT64)
+    if draw(st.booleans()):
+        return draw(st.lists(wide, min_size=size, max_size=size))
+    low = draw(st.sampled_from([-2**63, -2**40, -3, 1, 2**63 - 20]))
+    return draw(st.lists(st.integers(low, low + 19), min_size=size, max_size=size))
+
+
 @st.composite
 def orbits(draw):
     points = draw(point_sets())
-    symbols = draw(st.lists(st.integers(1, 2**40), min_size=len(points) - 1,
-                            max_size=len(points) - 1))
+    symbols = draw(symbol_lists(len(points) - 1))
     return Orbit(points, np.array(symbols, dtype=np.int64))
 
 
@@ -120,6 +134,8 @@ def _same_bytes(tmp_path, write, oracle, *args):
 
 @settings(max_examples=60, deadline=None)
 @given(orbit=orbits())
+@example(orbit=Orbit([[0.5, -0.0]], np.empty(0, dtype=np.int64)))  # one row
+@example(orbit=Orbit([[0.0], [-0.0], [0.0], [-0.0]], [-2**63, 2**63 - 1, -2**63]))
 def test_orbit_csv_bytes_equal_oracle(tmp_path_factory, orbit):
     tmp_path = tmp_path_factory.mktemp("orbit")
     assert _same_bytes(tmp_path, fileio.write_orbit_csv, oracle_write_orbit_csv, orbit)
@@ -186,6 +202,27 @@ def test_files_of_repeated_rows_equal_oracle_and_read_back(tmp_path_factory, poi
     if not svg_span_overflows(svg_points, None):
         assert _same_bytes(tmp_path, fileio.render_svg_scatter, oracle_render_svg_scatter,
                            svg_points)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 200, fileio.WRITE_BLOCK_BYTES])
+def test_files_of_many_blocks_equal_oracle(tmp_path, monkeypatch, block_bytes):
+    """12,346 rows on 7 distinct points, among them -0.0 beside 0.0, so that
+    the row numbers cross from 9 to 10, 999 to 1000 and 9999 to 10000 digits
+    inside a block or at its edge, with blocks of one row, of a few, and of
+    the writers' own size."""
+    monkeypatch.setattr(fileio, "WRITE_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(8)
+    corners = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [1.0, 0.1], [1 / 3, 2.0],
+                        [1e-300, -5e-324], [123456789.125, -1.7976931348623157e308]])
+    points = corners[rng.integers(0, len(corners), 12_346)]
+    orbit = Orbit(points, rng.integers(-3, 4, len(points) - 1))
+    assert _same_bytes(tmp_path, fileio.write_orbit_csv, oracle_write_orbit_csv, orbit)
+    assert _same_bytes(tmp_path, fileio.write_cloud_csv, oracle_write_cloud_csv, points)
+    assert _same_bytes(tmp_path, fileio.render_svg_scatter, oracle_render_svg_scatter,
+                       points[:, :1] * [1.0, -1.0] + [0.0, 0.5], points[:3])
+    wide = Orbit(points, rng.integers(-2**63, 2**63 - 1, len(points) - 1, dtype=np.int64,
+                                      endpoint=True))
+    assert _same_bytes(tmp_path, fileio.write_orbit_csv, oracle_write_orbit_csv, wide)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

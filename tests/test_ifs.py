@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifslab import (
     AffineMap,
@@ -19,6 +21,7 @@ from ifslab import (
     HyperplaneProjection,
     IFSystem,
     IidRandom,
+    Orbit,
     PointCloud,
     SubspaceProjection,
     SymbolRangeError,
@@ -29,6 +32,7 @@ from ifslab import (
     run_orbit,
     spectral_norm,
 )
+from ifslab import clouds
 from ifslab.geometry import AffineSubspace
 
 # Orthogonal to both start vectors of a power iteration from (1, 1, 1) and
@@ -384,3 +388,67 @@ def test_ifsystem_validates_maps():
         IFSystem((), 2)
     with pytest.raises(Exception):
         IFSystem((line([1, 0, 0], 0),), 2)
+
+
+# --- the orbit's grouping of its rows --------------------------------------------
+
+def test_orbit_points_are_read_only_and_not_the_callers():
+    given_points = np.array([[0.0, 1.0], [2.0, 3.0]])
+    orbit = Orbit(given_points, [1])
+    given_points[0, 0] = 9.0
+    assert orbit.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+    with pytest.raises(ValueError):
+        orbit.points[0, 0] = 9.0
+    run = run_orbit(parallel_lines_system(), [0.0, 0.3], Cyclic((1, 2)), 10)
+    assert not run.points.flags.writeable
+    assert Orbit(run.points, run.symbols).points is run.points  # read-only: no copy
+    # a read-only view of a writable array is copied: its base can still change
+    base = np.array([[0.0, 1.0], [2.0, 3.0]])
+    view = base[:]
+    view.flags.writeable = False
+    orbit = Orbit(view, [1])
+    base[0, 0] = 9.0
+    assert orbit.points is not view and orbit.points.tolist() == [[0.0, 1.0], [2.0, 3.0]]
+
+
+@pytest.mark.parametrize("burn_in", [-1, 3, 2.5, True, "1", None])
+def test_orbit_distinct_rows_checks_the_burn_in_before_keeping_it(burn_in):
+    orbit = Orbit([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]], [1, 1])
+    with pytest.raises(ValueError, match="burn-in"):
+        orbit.distinct_rows(burn_in)
+    first, inverse = orbit.distinct_rows(1)
+    assert first.tolist() == [0, 1] and inverse.tolist() == [0, 1]
+    assert orbit.distinct_rows(2.0)[0].tolist() == [0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+       burn_ins=st.lists(st.integers(0, 199), min_size=1, max_size=5))
+def test_orbit_distinct_rows_of_any_tail_in_any_order(seed, n, burn_ins):
+    """Whatever tails are asked for, in whatever order, each is
+    clouds.distinct_rows of that tail. The first groups its rows; a shorter
+    one groups none; a longer one groups the rows before the kept tail and
+    one row per distinct point of it."""
+    rng = np.random.default_rng(seed)
+    points = rng.choice(np.array([0.0, -0.0, 1.0, 0.5]), size=(n, 2))
+    orbit = Orbit(points, np.ones(n - 1, dtype=np.int64))
+    grouped, real = [], clouds.distinct_rows
+
+    def counting(rows):
+        grouped.append(len(rows))
+        return real(rows)
+
+    kept = None
+    for burn_in in [b % n for b in burn_ins]:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(clouds, "distinct_rows", counting)
+            first, inverse = orbit.distinct_rows(burn_in)
+        expected = real(points[burn_in:])
+        assert np.array_equal(first, expected[0]) and np.array_equal(inverse, expected[1])
+        if kept is None or burn_in < kept:
+            rows = n - burn_in if kept is None else kept - burn_in + len(real(points[kept:])[0])
+            assert grouped == [rows]
+            kept = burn_in
+        else:
+            assert grouped == []
+        grouped.clear()

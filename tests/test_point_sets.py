@@ -31,9 +31,11 @@ from ifslab import (
     check_minimality,
     check_monotone_distance,
     compare_omegas,
+    composition_lipschitz_exact,
     composition_lipschitz_on_tree,
     enumeration_prefix_length,
     estimate_omega,
+    gap_between,
     generate,
     greedy_thin,
     hausdorff,
@@ -181,10 +183,11 @@ TOLERANCES = {
     "check_monotone_distance": (lambda v: check_monotone_distance(ORBIT, CLOUD, base_slack=v),
                                 "base_slack", False),
     "greedy_thin": (lambda v: greedy_thin([[0, 0], [0.5, 0], [3, 0]], v), "eps", True),
+    "SegmentSet.sample_points": (lambda v: SEGMENTS.sample_points(v), "spacing", True),
 }
 
 TOLERANCE_CASES = [(entry, value) for entry, (_, _, positive) in TOLERANCES.items()
-                   for value in [np.nan, np.inf, -np.inf, -1e-9, True, "1e-6", None]
+                   for value in [np.nan, np.inf, -np.inf, -1e-9, -1, True, "1e-6", None]
                    + [0.0] * positive]
 
 
@@ -240,6 +243,37 @@ def test_every_count_is_an_integer(entry, fault):
 @pytest.mark.parametrize("entry", COUNTS)
 def test_an_integral_float_count_reads_as_its_integer(entry):
     call, _, _ = COUNTS[entry]
+    assert np.array_equal(call(2.0), call(2))
+
+
+# entry -> (call on one symbol or row number, returning something to compare,
+# its name)
+SYMBOLS = {
+    "apply_map": (lambda s: apply_map(SYSTEM, s, [0.0, 0.3]), "symbol"),
+    "composition_lipschitz_exact": (lambda s: composition_lipschitz_exact(SYSTEM, (1, s)),
+                                    "composition word"),
+    "composition_lipschitz_on_tree": (
+        lambda s: composition_lipschitz_on_tree(SYSTEM, (s,), [0.0, 0.3], 3, 8, 1),
+        "composition word"),
+    "LinearSystem.row_hyperplane": (lambda s: LINEAR.row_hyperplane(s).offset, "row"),
+    "gap_between": (lambda s: gap_between(LINEAR, 1, s), "row"),
+}
+
+SYMBOL_CASES = [(entry, fault) for entry in SYMBOLS
+                for fault in [1.5, True, "2", np.nan, None]]
+
+
+@pytest.mark.parametrize("entry,fault", SYMBOL_CASES,
+                         ids=[f"{e}-{f}" for e, f in SYMBOL_CASES])
+def test_every_symbol_and_row_number_is_integral(entry, fault):
+    call, name = SYMBOLS[entry]
+    with pytest.raises(ValueError, match=f"^{name} must be integral, got "):
+        call(fault)
+
+
+@pytest.mark.parametrize("entry", SYMBOLS)
+def test_an_integral_float_symbol_reads_as_its_integer(entry):
+    call, _ = SYMBOLS[entry]
     assert np.array_equal(call(2.0), call(2))
 
 

@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ifslab import fileio
+from ifslab import (
+    Cyclic,
+    LinearSystem,
+    Orbit,
+    clouds,
+    estimate_omega,
+    fileio,
+    run_orbit,
+    solve,
+)
 from ifslab.cli import main
 from ifslab.errors import EmptyCloudError, GeometryValidationError
 from ifslab.geometry import AffineSubspace, Halfspace
@@ -762,3 +771,71 @@ def test_linear_system_csv_faults_name_the_file_and_line(tmp_path, text, line):
     with pytest.raises(GeometryValidationError) as info:
         fileio.read_linear_system_csv(path)
     _assert_names(info, path, line)
+
+
+# --- the grouping budget: no orbit row is grouped twice --------------------------
+
+@pytest.fixture
+def grouped(monkeypatch):
+    """The rows each caller hands to ``clouds.distinct_rows``, as ``{id:
+    [orbit, rows]}``: the orbit whose ``distinct_rows`` asked, or None for
+    any other caller. Each orbit is held, so no id is reused."""
+    asking, rows = [], {}
+    real_rows, real_method = clouds.distinct_rows, Orbit.distinct_rows
+
+    def method(self, burn_in=0):
+        asking.append(self)
+        try:
+            return real_method(self, burn_in)
+        finally:
+            asking.pop()
+
+    def counting(points):
+        owner = asking[-1] if asking else None
+        rows.setdefault(id(owner), [owner, 0])[1] += len(points)
+        return real_rows(points)
+
+    monkeypatch.setattr(Orbit, "distinct_rows", method)
+    monkeypatch.setattr(clouds, "distinct_rows", counting)
+    return rows
+
+
+def _distinct_count(points):
+    return len({row.tobytes() for row in points})
+
+
+def test_a_triangle_run_groups_each_orbit_row_once(tmp_path, grouped, capsys):
+    config = preset_config("example4_triangle")
+    path, out = tmp_path / "config.json", tmp_path / "out"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out-dir", str(out)]) == 0
+    rows, burn_in = config["steps"] + 1, config["burn_in"]
+    outside = grouped.pop(id(None))[1]
+    (run, run_rows), (other, other_rows) = sorted(grouped.values(), key=lambda e: -e[1])
+    # The run's orbit: its tail for the estimate, then, for the monotone
+    # check, the CSV and the SVG together, its burn-in and one row per
+    # distinct point of the tail.
+    assert run_rows == rows + _distinct_count(run.tail(burn_in))
+    # compare_omegas' orbit is only estimated: its tail alone.
+    assert other_rows == rows - burn_in
+    # The rest is the invariance check's images of the representatives.
+    report = json.loads((out / "example4_triangle.report.json").read_text())
+    assert outside == 3 * report["representative_count"]
+
+    grouped.clear()
+    assert main(["omega", str(out / "example4_triangle.orbit.csv"), "--burn-in", str(burn_in),
+                 "--eps", repr(config["cluster_eps"])]) == 0
+    assert [r for _, r in grouped.values()] == [rows - burn_in]
+
+
+def test_an_omega_estimate_groups_only_the_tail(grouped):
+    system = LinearSystem([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [0.0, 0.0, 1.0])
+    report = solve(system, Cyclic((1, 2, 3)), tol=1e-9, max_iter=3000)
+    assert report.omega is not None
+    assert [r for _, r in grouped.values()] == [report.omega.tail_length]
+
+    grouped.clear()
+    scenario = scenario_from_dict(preset_config("example3_square"))
+    orbit = run_orbit(scenario.system, scenario.x0, scenario.driver, scenario.steps)
+    estimate_omega(orbit, scenario.burn_in, scenario.cluster_eps)
+    assert [r for _, r in grouped.values()] == [len(orbit.tail(scenario.burn_in))]
